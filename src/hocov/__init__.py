@@ -8,7 +8,7 @@ The package is organized bottom-up:
 ``quadratures``
     nonlinear quadratures Q^m, P^m and the commutator polynomials f_m
 ``dynamics``
-    interaction Hamiltonians and Krylov time evolution
+    interaction Hamiltonians and exact charge-sector time evolution
 ``covariance``
     4x4 higher-order covariance matrices, standard form, invariants,
     coskewness / cokurtosis blocks

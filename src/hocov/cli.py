@@ -12,6 +12,7 @@ import sys
 
 from .sweep import (
     SweepConfig,
+    _atomic_write,
     config_from_file,
     convergence_check,
     emit_plot_data,
@@ -57,7 +58,9 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--with-nz", action="store_true", default=None,
                      help="also evaluate the variance-product comparator")
     sub.add_argument("--tol", type=float, default=None,
-                     help="integrator accuracy target")
+                     help="propagator accuracy target: largest eigen-residual "
+                          "of a charge-sector block, relative to max(1, its "
+                          "spectral radius)")
     sub.add_argument("--workers", type=int, default=None,
                      help="thread count for criteria evaluation (0 = serial)")
 
@@ -111,8 +114,7 @@ def _cmd_check(args) -> int:
         lines = ["# xi\tn\tdrift"]
         for point in report["points"]:
             lines.append(f"{point['xi']:.12g}\t{point['n']}\t{point['drift']:.12g}")
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _atomic_write(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK if report["pass"] else EXIT_DRIFT
 

@@ -1,4 +1,4 @@
-"""Interaction Hamiltonians and Krylov time evolution.
+"""Interaction Hamiltonians and exact block time evolution.
 
 The nonlinear interaction (hbar = 1) is
 
@@ -7,20 +7,21 @@ The nonlinear interaction (hbar = 1) is
 on a (pump, A, B) layout. The dimensionless sweep coordinate is
 xi = kappa * t * alpha_p, so grid times are t_j = xi_j / (kappa * alpha_p).
 
-Evolution uses an adaptive Lanczos exponential stepper on the sparse
-Hamiltonian: the Krylov subspace grows until the standard residual estimate
-meets the local tolerance, otherwise the step is bisected. Norm is conserved
-to machine precision by construction (the small exponential is unitary);
-accuracy is controlled by the residual estimate.
+H conserves k N_P + N_A and l N_A - k N_B, so its sparsity graph splits into
+disjoint blocks: from |n0>_P |0,0> a state only ever visits the chain
+|n0 - j, k j, l j>. Evolution labels the connected components of that graph,
+keeps the few that meet the initial state's support, diagonalizes each block
+once and forms every grid point exactly as psi(t) = V exp(-i Lambda t) V+ psi0.
+There is no time stepper, so the result does not depend on the grid spacing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.csgraph import connected_components
 
 from .fock import ModeLayout, QuantumState, TruncatedOperator, annihilation, embed, top_level_population
 
@@ -28,7 +29,12 @@ TOP_LEVEL_GUARD = 1e-6
 
 
 class IntegratorError(RuntimeError):
-    """Raised when the stepper cannot reach the requested local tolerance."""
+    """Raised when evolution misses its accuracy target.
+
+    ``residual`` is a block's eigen-residual max |H_b V - V Lambda| when it
+    exceeds tol * max(1, max |Lambda|), or an evolved state's norm or trace
+    drift when that exceeds norm_tol.
+    """
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -107,16 +113,16 @@ class EvolutionConfig:
     """Grid and tolerances for a trajectory.
 
     xi_grid must be strictly increasing and start at 0; times are
-    t_j = xi_j / (kappa * alpha_p).
+    t_j = xi_j / (kappa * alpha_p). tol bounds each block's eigen-residual
+    max |H_b V - V Lambda| relative to max(1, max |Lambda|); norm_tol bounds
+    the norm or trace drift of every evolved state.
     """
 
     xi_grid: tuple[float, ...]
     kappa: float
     alpha_p: float
     tol: float = 1e-9
-    max_krylov: int = 48
     norm_tol: float = 1e-8
-    mixed_weight_cutoff: float = 1e-12
 
     def __post_init__(self):
         grid = tuple(float(x) for x in self.xi_grid)
@@ -134,117 +140,72 @@ class EvolutionConfig:
         return np.asarray(self.xi_grid) / (self.kappa * self.alpha_p)
 
 
-def _lanczos_expmv(h: sparse.csr_matrix, v: np.ndarray, tau: float, tol: float,
-                   m_max: int, _depth: int = 0) -> np.ndarray:
-    """y = exp(-i tau H) v for Hermitian sparse H, adaptive in subspace size and step."""
-    if tau == 0.0:
-        return v.copy()
-    beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0:
-        return v.copy()
-    if _depth > 48:
-        raise IntegratorError("step bisection exceeded depth 48", residual=np.inf)
-    n = v.shape[0]
-    mmax = int(min(m_max, n))
-    basis = np.empty((mmax + 1, n), dtype=complex)
-    alphas = np.empty(mmax)
-    betas = np.empty(mmax)
-    basis[0] = v / beta0
-    for j in range(mmax):
-        w = h @ basis[j]
-        alpha = float(np.vdot(basis[j], w).real)
-        w = w - alpha * basis[j]
-        if j > 0:
-            w = w - betas[j - 1] * basis[j - 1]
-        # one full reorthogonalization pass keeps the basis orthonormal
-        coeffs = basis[: j + 1].conj() @ w
-        w = w - coeffs @ basis[: j + 1]
-        beta = float(np.linalg.norm(w))
-        alphas[j] = alpha
-        betas[j] = beta
-        m = j + 1
-        evals, evecs = eigh_tridiagonal(alphas[:m], betas[: m - 1])
-        u = evecs @ (np.exp(-1j * tau * evals) * evecs[0])
-        happy = beta <= 1e-13 * (abs(alpha) + beta0)
-        err = abs(tau) * beta * abs(u[-1]) * beta0
-        if happy or err <= tol * beta0:
-            return beta0 * (basis[:m].T @ u)
-        basis[j + 1] = w / beta
-    # subspace exhausted: bisect the step, budgeting half the tolerance to each half
-    half = _lanczos_expmv(h, v, tau / 2.0, tol / 2.0, m_max, _depth + 1)
-    return _lanczos_expmv(h, half, tau / 2.0, tol / 2.0, m_max, _depth + 1)
+def _sector_blocks(h: sparse.csr_matrix, support: np.ndarray, tol: float) -> list:
+    """(indices, eigenvalues, eigenvectors) of every block of h meeting ``support``.
+
+    Blocks are the connected components of h's sparsity graph; the others
+    never exchange amplitude with the state and are skipped.
+    """
+    ncomp, labels = connected_components(abs(h), directed=False)
+    hit = np.zeros(ncomp, dtype=bool)
+    hit[labels[support]] = True
+    idx = np.flatnonzero(hit[labels])
+    idx = idx[np.argsort(labels[idx], kind="stable")]
+    sub = h[idx][:, idx]
+    bounds = np.flatnonzero(np.diff(labels[idx], prepend=-1, append=-1))
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        hb = sub[lo:hi, lo:hi].toarray()
+        lam, vec = np.linalg.eigh(hb)
+        residual = float(np.abs(hb @ vec - vec * lam).max())
+        if residual > tol * max(1.0, float(np.abs(lam).max())):
+            raise IntegratorError(
+                f"eigen-residual {residual:.3e} on a block of {hi - lo} states "
+                f"exceeds tol={tol:g}", residual=residual)
+        blocks.append((idx[lo:hi], lam, vec))
+    return blocks
 
 
-def _evolve_vector(vec: np.ndarray, h: sparse.csr_matrix, times: np.ndarray,
-                   cfg: EvolutionConfig) -> list[np.ndarray]:
-    out = [vec.copy()]
-    cur = vec.copy()
-    for t0, t1 in zip(times[:-1], times[1:]):
-        cur = _lanczos_expmv(h, cur, t1 - t0, cfg.tol, cfg.max_krylov)
-        out.append(cur)
+def _propagate(blocks: list, x: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) x for a vector, or each column of a matrix, on the blocks."""
+    out = np.zeros(x.shape, dtype=complex)
+    for idx, lam, vec in blocks:
+        out[idx] = (vec * np.exp(-1j * t * lam)) @ (vec.conj().T @ x[idx])
     return out
 
 
 def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: EvolutionConfig) -> list[QuantumState]:
-    """Propagate ``state`` to every xi grid point (the first entry is the input).
+    """Propagate ``state`` to every xi grid point (the first entry is t = 0).
 
-    Pure states evolve directly; density matrices are decomposed into their
-    eigenbranches, each branch is propagated, and the matrix is reassembled at
-    every grid point. Norm/trace deviations beyond config.norm_tol raise; a
-    top-two-level population above the truncation guard is attached as a note.
+    ``hamiltonian`` may be any Hermitian operator on the state's layout. A
+    density matrix evolves as U rho U+ = (U (U rho)+)+, with the same column
+    propagator applied twice. Norm/trace deviations beyond config.norm_tol
+    raise; a top-two-level population above the truncation guard is attached
+    as a note.
     """
     if hamiltonian.layout.dims != state.layout.dims:
         raise ValueError("state and Hamiltonian live on different layouts")
-    h = hamiltonian.data
-    times = config.times()
-    xi = config.xi_grid
-
-    if state.is_pure:
-        vecs = _evolve_vector(state.vector, h, times, config)
-        branches = [(1.0, vecs)]
-    else:
-        evals, evecs = np.linalg.eigh(state.matrix)
-        order = np.argsort(evals)[::-1]
-        evals, evecs = evals[order], evecs[:, order]
-        keep = evals > config.mixed_weight_cutoff * evals[0]
-        weights = evals[keep]
-        dropped = float(evals[~keep].sum())
-        weights = weights / (weights.sum() + dropped) if dropped > 0 else weights
-        branches = [
-            (float(wt), _evolve_vector(np.ascontiguousarray(evecs[:, i]), h, times, config))
-            for i, wt in enumerate(weights)
-        ]
+    x0 = state.vector if state.is_pure else state.matrix
+    support = np.flatnonzero(np.any(x0.reshape(len(x0), -1) != 0, axis=1))
+    blocks = _sector_blocks(hamiltonian.data, support, config.tol)
 
     states: list[QuantumState] = []
-    for idx, (x, t) in enumerate(zip(xi, times)):
-        notes: list[str] = []
+    for x, t in zip(config.xi_grid, config.times()):
         if state.is_pure:
-            vec = branches[0][1][idx]
-            nrm = float(np.linalg.norm(vec))
-            if abs(nrm - 1.0) > config.norm_tol:
-                raise IntegratorError(
-                    f"norm drifted to {nrm:.12f} at xi={x}", residual=abs(nrm - 1.0)
-                )
-            new = QuantumState(state.layout, vector=vec, time=float(t))
+            new = QuantumState(state.layout, vector=_propagate(blocks, x0, t), time=float(t))
         else:
-            rho = np.zeros((state.layout.total_dim,) * 2, dtype=complex)
-            for wt, vecs in branches:
-                v = vecs[idx]
-                rho += wt * np.outer(v, v.conj())
-            tr = float(np.trace(rho).real)
-            if abs(tr - 1.0) > max(config.norm_tol, 10 * config.mixed_weight_cutoff):
-                raise IntegratorError(f"trace drifted to {tr:.12f} at xi={x}", residual=abs(tr - 1.0))
-            rho /= tr
+            rho = _propagate(blocks, _propagate(blocks, x0, t).conj().T, t).conj().T
             new = QuantumState(state.layout, matrix=rho, time=float(t))
+        drift = abs(new.norm() - 1.0)
+        if drift > config.norm_tol:
+            kind = "norm" if state.is_pure else "trace"
+            raise IntegratorError(f"{kind} drifted to {new.norm():.12f} at xi={x}", residual=drift)
         pops = top_level_population(new)
         breaches = {m: p for m, p in pops.items() if p > TOP_LEVEL_GUARD}
         if breaches:
-            notes.append(
-                "truncation guard: top-two-level population "
-                + ", ".join(f"mode{m}={p:.2e}" for m, p in sorted(breaches.items()))
-            )
-        if notes:
+            note = ("truncation guard: top-two-level population "
+                    + ", ".join(f"mode{m}={p:.2e}" for m, p in sorted(breaches.items())))
             new = QuantumState(new.layout, vector=new.vector, matrix=new.matrix,
-                               time=new.time, notes=tuple(notes))
+                               time=new.time, notes=(note,))
         states.append(new)
     return states

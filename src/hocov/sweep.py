@@ -25,6 +25,7 @@ from .fock import (
     product_state,
     top_level_population,
 )
+from .quadratures import MAX_ORDER, UnsupportedOrderError
 
 _CSV_COLUMNS = (
     "n,k,l,xi,nu_minus,ineq7,ineq8,lemma1,detC,nz,verdict,truncation_flag,"
@@ -64,6 +65,12 @@ class SweepConfig:
             raise ValueError("dims must name (pump, A, B) truncations")
         if self.with_nz and (self.k, self.l) != (1, 2):
             raise ValueError("the variance-product comparator is defined for k=1, l=2")
+        top = max(self.hierarchy)
+        for mode, order in (("A", top * self.k), ("B", top * self.l)):
+            if order > MAX_ORDER:
+                raise UnsupportedOrderError(
+                    f"hierarchy level n={top} needs quadrature order {order} on mode "
+                    f"{mode}; orders above {MAX_ORDER} are not supported")
 
     def xi_grid(self) -> tuple[float, ...]:
         npoints = int(np.floor(self.xi_max / self.xi_step + 1e-9)) + 1
@@ -357,9 +364,10 @@ def convergence_check(config: SweepConfig, stride: int = 5,
 
     Re-runs a strided subsample of the xi grid with every mode truncation
     enlarged by config.convergence_step (or dim_boost) and reports the
-    largest |drift| of nu_minus across grid points and hierarchy levels. The
-    evolution itself integrates each grid interval to the configured
-    tolerance, so enlarging the truncation is the remaining error axis.
+    largest |drift| of nu_minus across grid points and hierarchy levels.
+    Evolution is exact within each charge sector, so the coarser check grid
+    reproduces the full grid's values at the shared points and enlarging the
+    truncation is the only error axis left.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")

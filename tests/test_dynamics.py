@@ -6,8 +6,10 @@ from scipy.sparse.linalg import expm_multiply
 
 from hocov import (
     EvolutionConfig,
+    IntegratorError,
     InteractionSpec,
     ModeLayout,
+    QuantumState,
     build_classical_pump_hamiltonian,
     build_hamiltonian,
     coherent_state,
@@ -90,7 +92,7 @@ def test_classical_pump_reproduces_two_mode_squeezing():
     assert np.abs(off).max() < 1e-9
 
 
-def test_lanczos_against_dense_expm():
+def test_evolve_against_dense_expm():
     lay, h = trilinear_setup(dims=(3, 3, 5))
     pump = coherent_state(0.6, 3, allow_truncation=True)
     ground_a = np.eye(3, dtype=complex)[:, 0]
@@ -104,7 +106,7 @@ def test_lanczos_against_dense_expm():
         assert np.abs(state.vector - direct).max() < 1e-9
 
 
-def test_lanczos_against_expm_multiply():
+def test_evolve_against_expm_multiply():
     lay, h = trilinear_setup(dims=(8, 6, 11), k=1, l=2)
     pump = coherent_state(1.2, 8)
     ground_a = np.eye(6, dtype=complex)[:, 0]
@@ -116,6 +118,59 @@ def test_lanczos_against_expm_multiply():
     t = xi / 1.2
     direct = expm_multiply(-1j * t * h.data.tocsc(), psi0.vector)
     assert np.abs(final.vector - direct).max() < 1e-8
+
+
+def test_large_norm_long_interval_against_dense_expm():
+    # k=1, l=3 gives a large spectral norm and a random state spreads over
+    # every sector: the interval a fixed-size Krylov stepper must subdivide
+    lay, h = trilinear_setup(dims=(6, 4, 12), k=1, l=3)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
+    psi0 = QuantumState(lay, vector=v / np.linalg.norm(v))
+    cfg = EvolutionConfig(xi_grid=(0.0, 1.0, 6.0), kappa=1.0, alpha_p=1.2)
+    dense = h.data.toarray()
+    assert np.linalg.norm(dense, 2) * cfg.times()[-1] > 500
+    for state, t in zip(evolve(psi0, h, cfg), cfg.times()):
+        direct = expm(-1j * t * dense) @ psi0.vector
+        assert np.abs(state.vector - direct).max() < 1e-10
+
+
+def test_dense_density_matrix_against_expm():
+    lay, h = trilinear_setup(dims=(3, 3, 5))
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(lay.total_dim,) * 2) + 1j * rng.normal(size=(lay.total_dim,) * 2)
+    rho0 = g @ g.conj().T
+    rho0 /= np.trace(rho0).real
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.3, 0.7), kappa=1.0, alpha_p=1.0)
+    states = evolve(QuantumState(lay, matrix=rho0), h, cfg)
+    dense = h.data.toarray()
+    for state, t in zip(states, cfg.times()):
+        u = expm(-1j * t * dense)
+        assert np.abs(state.matrix - u @ rho0 @ u.conj().T).max() < 1e-12
+
+
+def test_result_does_not_depend_on_grid():
+    lay, h = trilinear_setup(dims=(8, 6, 11))
+    pump = coherent_state(1.2, 8)
+    psi0 = product_state(
+        lay, pump, np.eye(6, dtype=complex)[:, 0], np.eye(11, dtype=complex)[:, 0]
+    )
+    xi = 0.9
+    coarse = evolve(psi0, h, EvolutionConfig(xi_grid=(0.0, xi), kappa=1.0, alpha_p=1.2))
+    fine_grid = tuple(np.linspace(0.0, xi, 46))
+    fine = evolve(psi0, h, EvolutionConfig(xi_grid=fine_grid, kappa=1.0, alpha_p=1.2))
+    assert fine_grid[-1] == xi
+    assert np.abs(coarse[-1].vector - fine[-1].vector).max() < 1e-12
+
+
+def test_eigen_residual_above_tol_raises():
+    lay, h = trilinear_setup(dims=(6, 5, 9))
+    psi0 = product_state(
+        lay, coherent_state(1.0, 6), np.eye(5, dtype=complex)[:, 0], np.eye(9, dtype=complex)[:, 0]
+    )
+    with pytest.raises(IntegratorError) as err:
+        evolve(psi0, h, EvolutionConfig(xi_grid=(0.0, 0.3), kappa=1.0, alpha_p=1.0, tol=1e-30))
+    assert 0.0 < err.value.residual < 1e-9
 
 
 def test_photon_number_ratio_follows_process_orders():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import hocov.sweep
+from hocov import UnsupportedOrderError
 from hocov.cli import main
 from hocov.sweep import (
     SweepConfig,
@@ -164,6 +166,15 @@ def test_config_validation():
         tiny_config(l=3, with_nz=True)
 
 
+def test_unsupported_order_fails_before_evolution():
+    # n=5 with l=2 needs Q^10 on mode B; the f_m table stops at m=9
+    with pytest.raises(UnsupportedOrderError, match=r"n=5 .*order 10"):
+        tiny_config(hierarchy=(1, 5))
+    with pytest.raises(UnsupportedOrderError, match=r"n=4 .*order 12"):
+        tiny_config(l=3, hierarchy=(4,))
+    assert tiny_config(l=3, hierarchy=(3,)).hierarchy == (3,)
+
+
 def test_xi_grid_spacing():
     cfg = tiny_config(xi_max=0.1, xi_step=0.02)
     grid = cfg.xi_grid()
@@ -250,6 +261,28 @@ def test_catastrophic_truncation_raises():
         run_sweep(cfg)
 
 
+def test_check_base_sweep_matches_full_grid(monkeypatch):
+    # exact propagation: the stride-5 check grid reproduces the full grid's
+    # witness at the shared points instead of adding step error
+    cfg = tiny_config(xi_max=0.3)
+    runs = []
+    original = hocov.sweep.run_sweep
+
+    def recording(config, keep_states=True):
+        runs.append(original(config, keep_states))
+        return runs[-1]
+
+    monkeypatch.setattr(hocov.sweep, "run_sweep", recording)
+    convergence_check(cfg, stride=5)
+    base = {(round(r.xi / cfg.xi_step), r.n): r.nu_minus for r in runs[0].rows}
+    full = run_sweep(cfg, keep_states=False)
+    shared = [(round(r.xi / cfg.xi_step), r.n, r.nu_minus) for r in full.rows
+              if (round(r.xi / cfg.xi_step), r.n) in base]
+    assert len(shared) == len(base) == 3 * 2
+    for i, n, nu in shared:
+        assert abs(base[(i, n)] - nu) < 1e-10
+
+
 def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -272,6 +305,24 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert code == 4
     assert "convergence FAIL" in capsys.readouterr().out
     assert drift_out.read_text(encoding="utf-8").startswith("# xi\tn\tdrift")
+
+
+def test_cli_check_report_written_atomically(tmp_path, capsys):
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg")
+    drift_out = tmp_path / "drift.tsv"
+    drift_out.write_text("stale\n", encoding="utf-8")
+    main(["check", "--config", cfg_path, "--stride", "2", "--out", str(drift_out)])
+    assert f"wrote {drift_out}" in capsys.readouterr().out
+
+    report = convergence_check(config_from_file(cfg_path), stride=2)
+    lines = drift_out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# xi\tn\tdrift"
+    assert len(lines) == 1 + len(report["points"])
+    for line, point in zip(lines[1:], report["points"]):
+        xi, n, drift = line.split("\t")
+        assert (float(xi), int(n)) == (point["xi"], point["n"])
+        assert float(drift) == pytest.approx(point["drift"], rel=1e-11, abs=1e-300)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["drift.tsv", "tiny.cfg"]
 
 
 def test_cli_plotdata(tmp_path, capsys):
