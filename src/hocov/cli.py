@@ -61,8 +61,6 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
                      help="propagator accuracy target: largest eigen-residual "
                           "of a charge-sector block, relative to max(1, its "
                           "spectral radius)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="thread count for criteria evaluation (0 = serial)")
 
 
 def _build_config(args) -> SweepConfig:
@@ -77,7 +75,6 @@ def _build_config(args) -> SweepConfig:
         "hierarchy": args.hierarchy,
         "with_nz": args.with_nz,
         "tol": args.tol,
-        "workers": args.workers,
     }
     if args.config:
         return config_from_file(args.config, **overrides)

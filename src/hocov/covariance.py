@@ -8,20 +8,40 @@ Entries are the symmetrized second moments
 so V is real symmetric and V + (i/2) <Omega> captures the full (generally
 complex) second-moment matrix, with <Omega_ij> = -i <[R_i, R_j]> scalarized by
 the state expectations of f_{nk}(N_A) and f_{nl}(N_B).
+
+build_covariance forms no operator. Each entry of R is a fixed combination of
+the ladder powers L = (A, A+, B, B+) with A = a^{nk} and B = b^{nl}. On the
+cutoff, a^m is the index shift |j> -> |j - m> with weight
+sqrt(j (j-1) ... (j-m+1)), and a+^m is its transpose, so a+^m drops the levels
+it would push to or past the cutoff and <A A+> is |A+ psi|^2, not
+<A+ A> + 2 <f_m>. Shifting the flat Fock indices of a pure state's nonzero
+amplitudes, or of a density matrix's rows, gives the Gram matrix
+G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) as sums over the indices two
+shifts share, and <R_i R_j> = (T* G T^T)_ij with T the coefficients of R in
+L. The cost is linear in the support of a pure state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .fock import DegenerateStateError, ModeLayout, QuantumState, TruncatedOperator
-from .quadratures import expectation, f_operator, nonlinear_quadratures
+from .quadratures import check_order, expectation, f_polynomial, nonlinear_quadratures
 
 _MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 _J0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# R = (Q_A, P_A, Q_B, P_B) in terms of the ladder powers (1, A, A+, B, B+):
+# Q = (A + A+)/2 and P = i(A+ - A)/2
+_LADDER_TO_R = np.array([
+    [0.0, 0.5, 0.5, 0.0, 0.0],
+    [0.0, -0.5j, 0.5j, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.5, 0.5],
+    [0.0, 0.0, 0.0, -0.5j, 0.5j],
+])
 
 
 @dataclass(frozen=True)
@@ -114,22 +134,29 @@ def mirror_reflect(cov: HigherOrderCovariance) -> HigherOrderCovariance:
     return HigherOrderCovariance(vt, cov.f_ka, cov.f_lb, fm, cov.n, cov.k, cov.l)
 
 
-def _moment_matrix(state: QuantumState, ops: list[TruncatedOperator]) -> np.ndarray:
-    """M_ij = <R_i R_j> for Hermitian R_i (Hermitian as a matrix)."""
-    nops = len(ops)
-    m = np.zeros((nops, nops), dtype=complex)
-    if state.is_pure:
-        apply = [op.data @ state.vector for op in ops]
-        for i in range(nops):
-            for j in range(i, nops):
-                m[i, j] = np.vdot(apply[i], apply[j])
-                m[j, i] = np.conj(m[i, j])
-    else:
-        for i in range(nops):
-            for j in range(i, nops):
-                m[i, j] = expectation(ops[i].data @ ops[j].data, state)
-                m[j, i] = np.conj(m[i, j])
-    return m
+def _levels(layout: ModeLayout, idx: np.ndarray, mode: int) -> np.ndarray:
+    """Occupation of ``mode`` at each flat Fock index."""
+    return idx // math.prod(layout.dims[mode + 1:]) % layout.dims[mode]
+
+
+def _ladder(layout: ModeLayout, idx: np.ndarray, mode: int, m: int, dagger: bool):
+    """Truncated a^m of ``mode``, or its transpose a+^m, on flat Fock indices.
+
+    Returns (rows, target, weight): the operator moves row rows[i] of an
+    amplitude array whose rows are the Fock indices ``idx`` to index
+    target[i], scaled by weight[i]. Rows it annihilates are dropped: j < m for
+    a^m, and j + m >= dim for a+^m, which is where the cutoff enters. Targets
+    are sorted when ``idx`` is.
+    """
+    dim = layout.dims[mode]
+    low = _levels(layout, idx, mode) - (0 if dagger else m)  # |low> <-> |low + m>
+    rows = np.flatnonzero((low >= 0) & (low + m < dim))
+    low = low[rows]
+    weight = np.ones(len(rows))
+    for i in range(1, m + 1):
+        weight *= low + i
+    shift = (m if dagger else -m) * math.prod(layout.dims[mode + 1:])
+    return rows, idx[rows] + shift, np.sqrt(weight)
 
 
 def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrderCovariance:
@@ -137,26 +164,48 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
 
     First moments are subtracted (they vanish identically on down-conversion
     trajectories, but subtracting keeps the object well defined on any state).
+    The cost is linear in the number of nonzero amplitudes of a pure state,
+    or in the dimension for a density matrix; no operator is formed.
     """
     if n < 1:
         raise ValueError("hierarchy index n must be >= 1")
     layout = state.layout
-    qa = nonlinear_quadratures(layout, layout.mode_a, n * k)
-    qb = nonlinear_quadratures(layout, layout.mode_b, n * l)
-    ops = [qa.q, qa.p, qb.q, qb.p]
-    m = _moment_matrix(state, ops)
+    orders = ((layout.mode_a, n * k), (layout.mode_b, n * l))
+    for mode, m in orders:
+        check_order(layout, mode, m)
+    # rows are the flat Fock indices idx; rho(x, y) = <idx[x]| rho |idx[y]>
     if state.is_pure:
-        first = np.array([np.vdot(state.vector, op.data @ state.vector) for op in ops])
+        idx = np.flatnonzero(state.vector != 0)
+        amp = state.vector[idx]
+
+        def rho(x, y):
+            return amp[x] * amp[y].conj()
     else:
-        first = np.array([expectation(op, state) for op in ops])
+        idx = np.arange(layout.total_dim)
+
+        def rho(x, y):
+            return state.matrix[x, y]
+
+    # L = (1, A, A+, B, B+); G_ab = tr(L_a+ L_b rho) sums over the Fock
+    # indices that L_a and L_b both reach, and row 0 holds <L_b> = tr(L_b rho)
+    every = np.arange(len(idx))
+    ops = [(every, idx, np.ones(len(idx)))]
+    ops += [_ladder(layout, idx, mode, m, dagger) for mode, m in orders for dagger in (False, True)]
+    gram = np.zeros((5, 5), dtype=complex)
+    for a, (rows_a, target_a, weight_a) in enumerate(ops):
+        for b, (rows_b, target_b, weight_b) in enumerate(ops[a:], start=a):
+            _, ia, ib = np.intersect1d(target_a, target_b, assume_unique=True, return_indices=True)
+            gram[a, b] = np.sum(weight_a[ia] * weight_b[ib] * rho(rows_b[ib], rows_a[ia]))
+            gram[b, a] = np.conj(gram[a, b])
+    first = _LADDER_TO_R @ gram[0]
     if np.abs(first.imag).max() > 1e-8:
         raise ValueError("first moments of Hermitian quadratures came out complex")
     r = first.real
-    v = m.real - np.outer(r, r)
+    v = (_LADDER_TO_R.conj() @ gram @ _LADDER_TO_R.T).real - np.outer(r, r)
     v = (v + v.T) / 2.0
-    f_ka = expectation(f_operator(layout, layout.mode_a, n * k), state).real
-    f_lb = expectation(f_operator(layout, layout.mode_b, n * l), state).real
-    return HigherOrderCovariance(v, float(f_ka), float(f_lb), r, n, k, l)
+    pops = rho(every, every).real
+    f_ka, f_lb = (float(pops @ f_polynomial(m)(_levels(layout, idx, mode))) for mode, m in orders)
+    return HigherOrderCovariance(v, f_ka, f_lb, r, n, k, l)
 
 
 def _sl2_normal_scaling(block: np.ndarray) -> tuple[np.ndarray, float]:

@@ -30,8 +30,7 @@ from .covariance import (
     invariants,
     mirror_reflect,
 )
-from .fock import QuantumState, embed, number_operator
-from .quadratures import expectation, nonlinear_quadratures, symmetrized_covariance
+from .fock import QuantumState
 
 _J0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -339,20 +338,20 @@ def nha_zubairy(state: QuantumState) -> float:
     N_Z = Var(L1) Var(L2) - <N_B + 3/4>^2 - Cov_sym(L1, L2)^2 with
     L1 = Q^1_A - Q^2_B and L2 = P^1_A + P^2_B. Negative values witness
     entanglement; the witness hierarchy detects a strictly wider interval.
+
+    Every term is read off the n = 1 covariance of the (1, 2) process,
+    V = cov(Q^1_A, P^1_A, Q^2_B, P^2_B): Var(L1) = V00 + V22 - 2 V02, and
+    likewise for L2 and the cross term. Since f_1 = 1/2 and f_2(N) = 2N + 1,
+    the bound <N_B + 3/4> is (<f_1(N_A)> + <f_2(N_B)>)/2, with <f_2(N_B)>
+    taken from the mode-B populations.
     """
-    layout = state.layout
-    if layout.dims[layout.mode_b] <= 2:
-        raise ValueError("mode B truncation too small for a second-order quadrature")
-    qa = nonlinear_quadratures(layout, layout.mode_a, 1)
-    qb = nonlinear_quadratures(layout, layout.mode_b, 2)
-    l1 = qa.q.data - qb.q.data
-    l2 = qa.p.data + qb.p.data
-    var1 = symmetrized_covariance(l1, l1, state)
-    var2 = symmetrized_covariance(l2, l2, state)
-    cross = symmetrized_covariance(l1, l2, state)
-    n_b = expectation(embed(number_operator(layout.dims[layout.mode_b]),
-                            layout.mode_b, layout), state).real
-    return float(var1 * var2 - (n_b + 0.75) ** 2 - cross**2)
+    cov = build_covariance(state, 1, 1, 2)
+    v = cov.matrix
+    var1 = v[0, 0] + v[2, 2] - 2.0 * v[0, 2]
+    var2 = v[1, 1] + v[3, 3] + 2.0 * v[1, 3]
+    cross = v[0, 1] + v[0, 3] - v[2, 1] - v[2, 3]
+    bound = (cov.f_ka + cov.f_lb) / 2.0
+    return float(var1 * var2 - bound**2 - cross**2)
 
 
 @dataclass(frozen=True)

@@ -128,15 +128,18 @@ class QuantumState:
             return np.outer(self.vector, self.vector.conj())
         return self.matrix
 
+    def populations(self) -> np.ndarray:
+        """Joint Fock-level populations, shaped like the layout's dims."""
+        if self.is_pure:
+            p = np.abs(self.vector) ** 2
+        else:
+            p = np.diag(self.matrix).real
+        return p.reshape(self.layout.dims)
+
     def mode_populations(self, mode: int) -> np.ndarray:
         """Marginal Fock-level populations of one mode."""
-        dims = self.layout.dims
-        if self.is_pure:
-            p = np.abs(self.vector.reshape(dims)) ** 2
-        else:
-            p = np.diag(self.matrix).real.reshape(dims)
-        axes = tuple(i for i in range(len(dims)) if i != mode)
-        return p.sum(axis=axes)
+        axes = tuple(i for i in range(self.layout.nmodes) if i != mode)
+        return self.populations().sum(axis=axes)
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -263,8 +266,6 @@ def top_level_population(state: QuantumState, levels: int = 2) -> dict[int, floa
     This is the post-hoc truncation guard: trajectories whose top two levels
     in any mode accumulate more than ~1e-6 population should not be trusted.
     """
-    out = {}
-    for mode in range(state.layout.nmodes):
-        pops = state.mode_populations(mode)
-        out[mode] = float(pops[-levels:].sum())
-    return out
+    pops = state.populations()
+    return {mode: float(np.moveaxis(pops, mode, 0)[-levels:].sum())
+            for mode in range(state.layout.nmodes)}

@@ -145,13 +145,18 @@ class QuadraturePair:
     p: TruncatedOperator
 
 
-def nonlinear_quadratures(layout: ModeLayout, mode: int, m: int) -> QuadraturePair:
-    """Embedded Q^m, P^m for ``mode``; m must not exceed the tabulated range."""
+def check_order(layout: ModeLayout, mode: int, m: int) -> None:
+    """Refuse a quadrature order outside the table or not below the mode cutoff."""
     if not 1 <= m <= MAX_ORDER:
         raise UnsupportedOrderError(f"quadrature order m={m} outside 1..{MAX_ORDER}")
     if m >= layout.dims[mode]:
         raise ValueError(f"m={m} needs mode dim > m, got {layout.dims[mode]}")
     f_polynomial(m)  # trigger the table cross-check before anything uses order m
+
+
+def nonlinear_quadratures(layout: ModeLayout, mode: int, m: int) -> QuadraturePair:
+    """Embedded Q^m, P^m for ``mode``; m must not exceed the tabulated range."""
+    check_order(layout, mode, m)
     q, p = _embedded_quadratures(layout.dims, mode, m)
     return QuadraturePair(mode, m, q, p)
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .criteria import evaluate_criteria, nha_zubairy
-from .dynamics import EvolutionConfig, InteractionSpec, build_hamiltonian, evolve
+from .dynamics import TOP_LEVEL_GUARD, EvolutionConfig, InteractionSpec, build_hamiltonian, evolve
 from .fock import (
     ModeLayout,
     QuantumState,
@@ -40,6 +39,8 @@ class SweepConfig:
     dims orders the truncation as (pump, A, B). xi runs from 0 to xi_max in
     steps of xi_step; hierarchy lists the n values evaluated at each point.
     with_nz adds the product-of-variances comparator (k=1, l=2 only).
+    Orders the hierarchy cannot evaluate (above the f_m table, or not below
+    the mode cutoff) fail here, before any evolution.
     """
 
     k: int = 1
@@ -52,7 +53,6 @@ class SweepConfig:
     hierarchy: tuple[int, ...] = (1, 2, 3)
     with_nz: bool = False
     tol: float = 1e-9
-    workers: int = 0
     convergence_step: tuple[int, int, int] = (4, 8, 16)
     out: str | None = None
 
@@ -66,18 +66,23 @@ class SweepConfig:
         if self.with_nz and (self.k, self.l) != (1, 2):
             raise ValueError("the variance-product comparator is defined for k=1, l=2")
         top = max(self.hierarchy)
-        for mode, order in (("A", top * self.k), ("B", top * self.l)):
+        for mode, order, dim in (("A", top * self.k, self.dims[1]),
+                                 ("B", top * self.l, self.dims[2])):
             if order > MAX_ORDER:
                 raise UnsupportedOrderError(
                     f"hierarchy level n={top} needs quadrature order {order} on mode "
                     f"{mode}; orders above {MAX_ORDER} are not supported")
+            if order >= dim:
+                raise ValueError(
+                    f"dims={tuple(self.dims)}: hierarchy level n={top} needs quadrature "
+                    f"order {order} on mode {mode}, whose cutoff {dim} must exceed it")
 
     def xi_grid(self) -> tuple[float, ...]:
         npoints = int(np.floor(self.xi_max / self.xi_step + 1e-9)) + 1
         return tuple(i * self.xi_step for i in range(npoints))
 
 
-_INT_KEYS = {"k", "l", "workers"}
+_INT_KEYS = {"k", "l"}
 _FLOAT_KEYS = {"kappa", "alpha_p", "xi_max", "xi_step", "tol"}
 _TUPLE_KEYS = {"dims", "hierarchy", "convergence_step"}
 _BOOL_KEYS = {"with_nz"}
@@ -183,9 +188,8 @@ def _initial_state(config: SweepConfig, layout: ModeLayout) -> QuantumState:
 def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
     """Evolve from vacuum signal/idler and evaluate every criterion.
 
-    The evolution runs once; criteria evaluations across (grid point,
-    hierarchy level) pairs are independent and run on a thread pool when
-    config.workers > 0, with results assembled in deterministic order.
+    The evolution runs once; a grid point is flagged "breach" when a mode's
+    top-two-level population exceeds dynamics.TOP_LEVEL_GUARD.
     """
     layout = ModeLayout(tuple(config.dims))
     spec = InteractionSpec(layout, config.k, config.l, config.kappa)
@@ -203,23 +207,13 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
     pops = []
     nz_values = []
     for state in states:
-        breached = any("truncation guard" in note for note in state.notes)
-        flags.append("breach" if breached else "ok")
         pop = top_level_population(state)
+        flags.append("breach" if max(pop.values()) > TOP_LEVEL_GUARD else "ok")
         pops.append((pop[layout.pump], pop[layout.mode_a], pop[layout.mode_b]))
         nz_values.append(nha_zubairy(state) if config.with_nz else None)
 
     tasks = [(i, n) for i in range(len(states)) for n in config.hierarchy]
-
-    def evaluate(task):
-        i, n = task
-        return evaluate_criteria(states[i], n, config.k, config.l)
-
-    if config.workers > 0:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            reports = list(pool.map(evaluate, tasks))
-    else:
-        reports = [evaluate(task) for task in tasks]
+    reports = [evaluate_criteria(states[i], n, config.k, config.l) for i, n in tasks]
 
     rows = []
     smallest_n = min(config.hierarchy)

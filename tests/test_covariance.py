@@ -81,25 +81,67 @@ def test_vacuum_covariance_diagonal():
         assert cov.f_lb == pytest.approx(math.factorial(n * l) / 2)
 
 
+def reference_covariance(state, n, k, l):
+    """V, <R> and the f expectations from the embedded quadrature operators."""
+    lay = state.layout
+    qa = nonlinear_quadratures(lay, lay.mode_a, n * k)
+    qb = nonlinear_quadratures(lay, lay.mode_b, n * l)
+    ops = [qa.q, qa.p, qb.q, qb.p]
+    second = np.array([[expectation(x @ y, state) for y in ops] for x in ops])
+    first = np.array([expectation(x, state) for x in ops])
+    v = second.real - np.outer(first.real, first.real)
+    f_ka = expectation(f_operator(lay, lay.mode_a, n * k), state).real
+    f_lb = expectation(f_operator(lay, lay.mode_b, n * l), state).real
+    return ops, (v + v.T) / 2, first, f_ka, f_lb
+
+
 def test_moment_imaginary_parts_are_commutators():
     # Im<R_i R_j> must reproduce the scalarized commutator matrix Omega/2.
     # Order-m operator products corrupt the top m levels, so the mode cutoffs
     # leave headroom beyond the exact interaction support (N_B = 2 N_A,
     # N_A bounded by the pump cutoff).
     state = spdc_state(xi=0.3, dims=(8, 11, 26), alpha=1.2)
-    lay = state.layout
     for n in (1, 2):
         cov = build_covariance(state, n, 1, 2)
-        qa = nonlinear_quadratures(lay, lay.mode_a, n)
-        qb = nonlinear_quadratures(lay, lay.mode_b, 2 * n)
-        ops = [qa.q, qa.p, qb.q, qb.p]
+        ops, _, _, f_ka, _ = reference_covariance(state, n, 1, 2)
         im = np.zeros((4, 4))
         for i in range(4):
             for j in range(4):
                 im[i, j] = expectation(ops[i] @ ops[j], state).imag
         assert np.abs(im - cov.omega() / 2).max() < 1e-10
-        f_direct = expectation(f_operator(lay, lay.mode_a, n), state).real
-        assert cov.f_ka == pytest.approx(f_direct, abs=1e-12)
+        assert cov.f_ka == pytest.approx(f_ka, abs=1e-12)
+
+    # the ladder-shift moments against the embedded operators, on dense random
+    # pure and mixed states and on a state confined to the top three levels
+    # of every mode, where the truncated a+^m drops terms
+    rng = np.random.default_rng(23)
+    states = [state]
+    for dims in ((3, 7, 10), (7, 10)):
+        lay = ModeLayout(dims)
+        d = lay.total_dim
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        tops = []
+        for dim in dims:
+            f = np.zeros(dim, dtype=complex)
+            f[-3:] = rng.normal(size=3) + 1j * rng.normal(size=3)
+            tops.append(f)
+        states += [QuantumState(lay, vector=psi / np.linalg.norm(psi)),
+                   QuantumState(lay, matrix=rho / np.trace(rho).real),
+                   product_state(lay, *tops)]
+    for st in states:
+        for k, l in ((1, 2), (1, 3), (2, 1)):
+            for n in (1, 2, 3):
+                if st is state and n * l > 9:
+                    continue
+                cov = build_covariance(st, n, k, l)
+                _, v, first, f_ka, f_lb = reference_covariance(st, n, k, l)
+                scale = max(1.0, np.abs(v).max())
+                assert np.abs(cov.matrix - v).max() < 1e-12 * scale, (st.layout, n, k, l)
+                assert np.abs(cov.first_moments - first.real).max() < 1e-12 * scale
+                assert cov.f_ka == pytest.approx(f_ka, rel=1e-12)
+                assert cov.f_lb == pytest.approx(f_lb, rel=1e-12)
 
 
 def test_mixed_state_covariance_matches_pure():

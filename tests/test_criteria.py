@@ -13,15 +13,20 @@ from hocov import (
     build_covariance,
     build_hamiltonian,
     coherent_state,
+    embed,
     evaluate_criteria,
     evolve,
+    expectation,
     inequality7_margin,
     inequality8_margin,
     lemma1_check,
     lemma2_transform,
     nha_zubairy,
+    nonlinear_quadratures,
+    number_operator,
     product_state,
     standard_form,
+    symmetrized_covariance,
     thermal_state,
     uncertainty_margin,
     vacuum_state,
@@ -144,6 +149,29 @@ def test_nha_zubairy_vacuum_and_guard():
 def test_nha_zubairy_detects_downconversion():
     states = spdc_trajectory(dims=(8, 7, 13), k=1, l=2, xi_max=0.25, steps=2)
     assert nha_zubairy(states[-1]) < -1e-4
+
+    # against L1 = Q_A - Q^2_B, L2 = P_A + P^2_B and N_B written out as
+    # operators, on the trajectory, a mixture with a displaced component, a
+    # thermal product and a random density matrix
+    lay = states[-1].layout
+    pump = np.eye(8, dtype=complex)[:, 2]
+    displaced = product_state(lay, pump, coherent_state(0.4, 7),
+                              coherent_state(0.3 * np.exp(0.25j * np.pi), 13))
+    mixed = QuantumState(lay, matrix=0.5 * states[-1].density() + 0.5 * displaced.density())
+    therm = product_state(lay, pump, thermal_state(0.3, 7), thermal_state(0.2, 13))
+    g = np.random.default_rng(8).normal(size=(lay.total_dim, 2 * lay.total_dim))
+    g = g[:, ::2] + 1j * g[:, 1::2]
+    noise = QuantumState(lay, matrix=g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    qa = nonlinear_quadratures(lay, lay.mode_a, 1)
+    qb = nonlinear_quadratures(lay, lay.mode_b, 2)
+    l1 = qa.q.data - qb.q.data
+    l2 = qa.p.data + qb.p.data
+    n_b = embed(number_operator(13), lay.mode_b, lay)
+    for state in (*states, displaced, mixed, therm, noise):
+        expected = (symmetrized_covariance(l1, l1, state) * symmetrized_covariance(l2, l2, state)
+                    - (expectation(n_b, state).real + 0.75) ** 2
+                    - symmetrized_covariance(l1, l2, state) ** 2)
+        assert nha_zubairy(state) == pytest.approx(expected, abs=1e-12 * max(1.0, abs(expected)))
 
 
 def test_lemma2_zero_detc_path():

@@ -193,6 +193,20 @@ def test_top_level_population():
     assert pops[0] == pytest.approx(1.0)
     assert pops[1] == pytest.approx(0.0)
 
+    # against the marginals of random pure and mixed three-mode states
+    rng = np.random.default_rng(4)
+    lay = ModeLayout((3, 4, 5))
+    psi = rng.normal(size=60) + 1j * rng.normal(size=60)
+    g = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+    rho = g @ g.conj().T
+    for st in (QuantumState(lay, vector=psi / np.linalg.norm(psi)),
+               QuantumState(lay, matrix=rho / np.trace(rho).real)):
+        for levels in (1, 2, 3):
+            pops = top_level_population(st, levels)
+            for mode in range(3):
+                marginal = st.mode_populations(mode)[-levels:].sum()
+                assert pops[mode] == pytest.approx(marginal, abs=1e-14)
+
 
 def test_fock_state_occupation_bounds():
     lay = ModeLayout((3, 4))

@@ -66,13 +66,6 @@ def test_sweep_with_nz_column():
     assert nz[-1] < 0
 
 
-def test_workers_match_serial():
-    serial = run_sweep(tiny_config())
-    threaded = run_sweep(tiny_config(workers=2))
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a == b
-
-
 def test_csv_determinism_and_roundtrip(tmp_path):
     result = run_sweep(tiny_config(), keep_states=False)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -173,6 +166,16 @@ def test_unsupported_order_fails_before_evolution():
     with pytest.raises(UnsupportedOrderError, match=r"n=4 .*order 12"):
         tiny_config(l=3, hierarchy=(4,))
     assert tiny_config(l=3, hierarchy=(3,)).hierarchy == (3,)
+
+
+def test_cutoff_fit_fails_before_evolution():
+    # n=3 with l=2 needs Q^6 on mode B, which a cutoff of 6 cannot hold; the
+    # config refuses it when built, so no sweep can start
+    with pytest.raises(ValueError, match=r"dims=\(12, 6, 6\).*n=3 .*order 6 on mode B"):
+        tiny_config(dims=(12, 6, 6), hierarchy=(1, 3))
+    with pytest.raises(ValueError, match=r"dims=\(12, 4, 11\).*n=2 .*order 4 on mode A"):
+        tiny_config(k=2, l=1, dims=(12, 4, 11), hierarchy=(2,))
+    assert tiny_config(dims=(12, 4, 5)).dims == (12, 4, 5)
 
 
 def test_xi_grid_spacing():
