@@ -15,9 +15,10 @@ cutoff, a^m is the index shift |j> -> |j - m> with weight
 sqrt(j (j-1) ... (j-m+1)), and a+^m is its transpose, so a+^m drops the levels
 it would push to or past the cutoff and <A A+> is |A+ psi|^2, not
 <A+ A> + 2 <f_m>. Shifting the flat Fock indices of a pure state's nonzero
-amplitudes, or of a density matrix's rows, gives the Gram matrix
-G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) as sums over the indices two
-shifts share, and <R_i R_j> = (T* G T^T)_ij with T the coefficients of R in
+amplitudes, or of a density matrix's rows, places every L_a on one sorted
+set of target indices, and the Gram matrix G_ab = <L_a psi|L_b psi> =
+tr(L_a+ L_b rho) is one product (pure state) or one gather (density matrix)
+over that set. Then <R_i R_j> = (T* G T^T)_ij with T the coefficients of R in
 L. The cost is linear in the support of a pure state.
 """
 
@@ -173,37 +174,38 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
     orders = ((layout.mode_a, n * k), (layout.mode_b, n * l))
     for mode, m in orders:
         check_order(layout, mode, m)
-    # rows are the flat Fock indices idx; rho(x, y) = <idx[x]| rho |idx[y]>
-    if state.is_pure:
-        idx = np.flatnonzero(state.vector != 0)
-        amp = state.vector[idx]
-
-        def rho(x, y):
-            return amp[x] * amp[y].conj()
-    else:
-        idx = np.arange(layout.total_dim)
-
-        def rho(x, y):
-            return state.matrix[x, y]
-
-    # L = (1, A, A+, B, B+); G_ab = tr(L_a+ L_b rho) sums over the Fock
-    # indices that L_a and L_b both reach, and row 0 holds <L_b> = tr(L_b rho)
-    every = np.arange(len(idx))
-    ops = [(every, idx, np.ones(len(idx)))]
+    # L = (1, A, A+, B, B+). Op b moves row src[b, t] of the amplitudes, whose
+    # rows are the Fock indices idx, to the shared sorted target targets[t]
+    # with weight w[b, t] (0 where it does not reach t). Then
+    # G_ab = tr(L_a+ L_b rho) = sum_t w_a w_b rho[src_b, src_a], and row 0
+    # holds <L_b> = tr(L_b rho).
+    idx = state.support
+    ops = [(np.arange(len(idx)), idx, np.ones(len(idx)))]
     ops += [_ladder(layout, idx, mode, m, dagger) for mode, m in orders for dagger in (False, True)]
-    gram = np.zeros((5, 5), dtype=complex)
-    for a, (rows_a, target_a, weight_a) in enumerate(ops):
-        for b, (rows_b, target_b, weight_b) in enumerate(ops[a:], start=a):
-            _, ia, ib = np.intersect1d(target_a, target_b, assume_unique=True, return_indices=True)
-            gram[a, b] = np.sum(weight_a[ia] * weight_b[ib] * rho(rows_b[ib], rows_a[ia]))
-            gram[b, a] = np.conj(gram[a, b])
+    # sort and drop repeats by hand: np.unique is an order of magnitude slower here
+    targets = np.sort(np.concatenate([target for _, target, _ in ops]))
+    targets = targets[np.diff(targets, prepend=-1) != 0]
+    src = np.zeros((len(ops), len(targets)), dtype=np.intp)
+    w = np.zeros((len(ops), len(targets)))
+    for b, (rows, target, weight) in enumerate(ops):
+        at = np.searchsorted(targets, target)
+        src[b, at] = rows
+        w[b, at] = weight
+    if state.is_pure:
+        amp = state.vector[idx]
+        phi = w * amp[src]
+        gram = phi.conj() @ phi.T
+        pops = np.abs(amp) ** 2
+    else:
+        rho = state.matrix
+        gram = np.einsum("at,bt,abt->ab", w, w, rho[src[None], src[:, None]])
+        pops = np.diag(rho).real
     first = _LADDER_TO_R @ gram[0]
     if np.abs(first.imag).max() > 1e-8:
         raise ValueError("first moments of Hermitian quadratures came out complex")
     r = first.real
     v = (_LADDER_TO_R.conj() @ gram @ _LADDER_TO_R.T).real - np.outer(r, r)
     v = (v + v.T) / 2.0
-    pops = rho(every, every).real
     f_ka, f_lb = (float(pops @ f_polynomial(m)(_levels(layout, idx, mode))) for mode, m in orders)
     return HigherOrderCovariance(v, f_ka, f_lb, r, n, k, l)
 

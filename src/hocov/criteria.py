@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .covariance import (
     HigherOrderCovariance,
@@ -110,12 +109,18 @@ def lemma1_check(cov: HigherOrderCovariance) -> float:
 class Lemma2Result:
     """Outcome of the constructive det C >= 0 separability transformation.
 
-    lambdas holds (lambda_+, lambda_-, lambda'_+, lambda'_-): the eigenvalue
-    pairs of the transformed qq and pp planes. f_k and f_l are the commutator
-    expectations in the arrangement actually used (parties relabeled when
-    b < a, recorded by ``swapped``). x, y1, y2 are the scaling parameters in
-    the gauge x = 1 unless the closed form succeeded. transformed is the 4x4
-    matrix after scaling and equal rotation, ordered (q_A, p_A, q_B, p_B).
+    The standard form is scaled by q_A -> sqrt(u) q_A, p_A -> p_A / sqrt(u),
+    q_B -> sqrt(v) q_B, p_B -> p_B / sqrt(v), with (u, v) the exact root
+    chosen by lemma2_transform. x, y1, y2 record that scaling in the gauge
+    x = 1: y1 = f_k sqrt(u), y2 = f_l sqrt(v). lambdas holds
+    (lambda_+, lambda_-, lambda'_+, lambda'_-), the eigenvalue pairs of the
+    scaled qq and pp planes, so lambda_- = f_k/2 and lambda'_- = f_l/2 up to
+    ``residual`` (the summed deviation of the two minima from f/2).
+    transformed is diag(lambdas), the matrix after the equal rotation of the
+    two planes; for det C = 0 it is the plain scaling, which keeps the
+    q_A q_B coupling and has residual 0. f_k and f_l are the commutator
+    expectations in the arrangement actually used: the parties are relabeled
+    when b < a, which ``swapped`` records.
     """
 
     lambdas: tuple
@@ -125,10 +130,8 @@ class Lemma2Result:
     f_k: float
     f_l: float
     transformed: np.ndarray
-    used_fallback: bool
     residual: float
     swapped: bool
-    path: str
 
     def as_covariance(self, n: int = 1, k: int = 1, l: int = 1) -> HigherOrderCovariance:
         """Package the transformed matrix for lemma1_check."""
@@ -144,106 +147,44 @@ def _plane_blocks(a, b, c1, c2, u, v):
     return qq, pp
 
 
-def _min_eig2(m):
+def _eig2(m):
+    """(larger, smaller) eigenvalue of a real symmetric 2x2 matrix."""
     h = (m[0, 0] + m[1, 1]) / 2.0
-    d = (m[0, 0] - m[1, 1]) / 2.0
-    return h - np.hypot(d, m[0, 1])
+    r = np.hypot((m[0, 0] - m[1, 1]) / 2.0, m[0, 1])
+    return h + r, h - r
 
 
-def _closed_form_attempt(a, b, c1, c2, fk, fl, iters=80):
-    """Fixed-point iteration of the closed-form x, y1, y2 expressions.
+def _saturating_scalings(a, b, c1, c2, fk, fl):
+    """Admissible roots (u, v) of det(qq - f_k/2) = det(pp - f_l/2) = 0.
 
-    Returns (u, v, x, y1, y2) on convergence, None when a radicand goes
-    negative, a value overflows, or the iteration fails to settle. The
-    companion discriminant M5 enters unsquared; squaring it would be
-    dimensionally inconsistent with its M2 counterpart.
+    The qq condition, (ab - c1^2) uv - (f_k/2)(a u + b v) + f_k^2/4 = 0, is
+    solved for v, and substituting v into the pp condition,
+    (ab - c2^2) - (f_l/2)(b u + a v) + (f_l^2/4) uv = 0, leaves
+    lead u^2 + mid u + const = 0. A root is admissible when u > 0, v > 0,
+    a u + b v >= f_k and a/u + b/v >= f_l: a plane's trace of at least f
+    makes f/2 its smaller eigenvalue.
     """
-    x = 1.0
-    y1 = fk
-    y2 = fl
-    with np.errstate(all="ignore"):
-        for _ in range(iters):
-            m1 = 2 * (8 * a * b**2 * fl * x**4 - 8 * b * c1**2 * fl * x**4
-                      - 2 * a * fk * fl**2 * x**4)
-            m2 = (-16 * a**2 * b**2 * fk**2 * x**2 + 16 * a * b * c1**2 * fk**2 * x**2
-                  + 16 * a * b * c2**2 * fk**2 * x**2 - 16 * c1**2 * c2**2 * fk**2 * x**2
-                  + 4 * a**2 * fk**3 * fl * x**2 - 4 * b**2 * fk**3 * fl * x**2
-                  + fk**4 * fl**2 * x**2)
-            m3 = m2**2 - 2 * (8 * a * b**2 * fk**5 - 8 * b * c2**2 * fk**5
-                              - 2 * a * fk**6 * fl) * m1
-            m4 = 2 * (8 * a**2 * b - 8 * a * c1**2 - 2 * b * fk * fl)
-            m5 = (-16 * a**2 * b**2 * fl * x**2 + 16 * a * b * c1**2 * fl * x**2
-                  + 16 * a * b * c2**2 * fl * x**2 - 16 * c1**2 * c2**2 * fl * x**2
-                  - 4 * a**2 * fk * fl**2 * x**2 + 4 * b**2 * fk * fl**2 * x**2
-                  + fk**2 * fl**3 * x**2)
-            m6 = m5**2 - 2 * (8 * a**2 * b * fk * fl**3 * x**4
-                              - 8 * a * c2**2 * fk * fl**3 * x**4
-                              - 2 * b * fk**2 * fl**4 * x**4) * m4
-            if not np.isfinite(m1) or not np.isfinite(m4) or m1 == 0 or m4 == 0:
-                return None
-            if m3 < 0 or m6 < 0:
-                return None
-            r1 = m2 / m1 + np.sqrt(m3) / m1
-            r2 = m5 / m4 + np.sqrt(m6) / m4
-            if r1 <= 0 or r2 <= 0 or not np.isfinite(r1) or not np.isfinite(r2):
-                return None
-            y1_new, y2_new = np.sqrt(r1), np.sqrt(r2)
-            theta_k, theta_l = y1_new / fk, y2_new / fl
-            num, den = a * c1 + b * c2, b * c1 + a * c2
-            if num <= 0 or den <= 0:
-                return None
-            x_new = num**0.25 * np.sqrt(theta_l) / (den**0.25 * np.sqrt(theta_k))
-            if not np.isfinite(x_new) or x_new <= 0:
-                return None
-            drift = abs(x_new - x) + abs(y1_new - y1) + abs(y2_new - y2)
-            x, y1, y2 = x_new, y1_new, y2_new
-            if drift < 1e-14 * (1.0 + x + y1 + y2):
-                break
-        else:
-            return None
-    theta_k, theta_l = y1 / fk, y2 / fl
-    u, v = (x * theta_k) ** 2, (theta_l / x) ** 2
-    return u, v, x, y1, y2
-
-
-def _saturation_residual(a, b, c1, c2, fk, fl, u, v):
-    qq, pp = _plane_blocks(a, b, c1, c2, u, v)
-    return abs(_min_eig2(qq) - fk / 2.0) + abs(_min_eig2(pp) - fl / 2.0)
-
-
-def _fallback_solve(a, b, c1, c2, fk, fl):
-    """Root-find the two-plane saturation conditions over log scalings.
-
-    The transformed matrix depends on (x, theta_k, theta_l) only through
-    u = (x theta_k)^2 and v = (theta_l / x)^2, so the search space is two
-    dimensional.
-    """
-
-    def residual_vec(logs):
-        u, v = np.exp(logs)
-        qq, pp = _plane_blocks(a, b, c1, c2, u, v)
-        return [_min_eig2(qq) - fk / 2.0, _min_eig2(pp) - fl / 2.0]
-
-    starts = [
-        (np.log(fk / (2 * a)), np.log(fl / (2 * b))),
-        (0.0, 0.0),
-        (0.7, -0.7),
-        (-0.7, 0.7),
-        (1.5, -1.5),
-        (-1.5, 1.5),
-        (2.5, 0.5),
-        (0.5, 2.5),
-    ]
-    best = None
-    for s in starts:
-        sol = optimize.root(residual_vec, s, method="hybr", tol=1e-14)
-        u, v = np.exp(sol.x)
-        res = _saturation_residual(a, b, c1, c2, fk, fl, u, v)
-        if best is None or res < best[2]:
-            best = (u, v, res)
-        if res < 1e-12 * (fk + fl):
-            break
-    return best
+    d1, d2 = a * b - c1**2, a * b - c2**2
+    lead = fl / 2.0 * (fk * fl * a / 4.0 - b * d1)
+    mid = d1 * d2 + fk * fl * (b * b - a * a) / 4.0 - (fk * fl) ** 2 / 16.0
+    const = fk / 2.0 * (fk * fl * a / 4.0 - b * d2)
+    disc = mid * mid - 4.0 * lead * const
+    if disc < 0:
+        return []
+    # cancellation-free pair of roots: q/lead and const/q
+    q = -(mid + np.copysign(np.sqrt(disc), mid)) / 2.0
+    roots = [const / q] if q != 0 else []
+    if lead != 0:
+        roots.append(q / lead)
+    out = []
+    for u in roots:
+        den = d1 * u - fk * b / 2.0
+        if u <= 0 or den == 0:
+            continue
+        v = (fk * a * u / 2.0 - fk**2 / 4.0) / den
+        if v > 0 and a * u + b * v >= fk and a / u + b / v >= fl:
+            out.append((u, v))
+    return out
 
 
 def lemma2_transform(
@@ -254,13 +195,14 @@ def lemma2_transform(
 ) -> Lemma2Result:
     """Constructive local transformation for det C >= 0 standard forms.
 
-    Scales each quadrature so that the minimum eigenvalues of the qq and pp
+    Scales the quadratures so that the minimum eigenvalues of the qq and pp
     planes hit f_k/2 and f_l/2, after which an equal rotation in the two
     planes diagonalizes the matrix and det(V2 - F/2) >= 0 certifies
-    separability. The closed form for (x, y1, y2) is attempted first and
-    checked against the saturation postcondition; on failure a
-    two-dimensional root-find over the scaling invariants takes over
-    (used_fallback=True).
+    separability. The scalings (u, v) solve the two saturation conditions
+    exactly: eliminating v leaves one quadratic in u, solved in closed form.
+    When both roots are admissible (the usual case for det C > 0), the root
+    with the larger u is taken. No admissible root, or minima further than
+    tol * max(1, f_k + f_l) from f/2, raises NumericalConsistencyError.
 
     det C < 0 inputs are rejected: they are mirror images of the covered case
     and are exactly the entanglement candidates the lemma does not address.
@@ -291,44 +233,31 @@ def lemma2_transform(
         v1 = np.diag([2 * a**2 / fk, fk / 2.0, 2 * b**2 / fl, fl / 2.0])
         v1[0, 2] = v1[2, 0] = off
         lambdas = (2 * a**2 / fk, fk / 2.0, 2 * b**2 / fl, fl / 2.0)
-        x = 1.0
         y1 = fk * np.sqrt(2 * a / fk)
         y2 = fl * np.sqrt(2 * b / fl)
-        return Lemma2Result(
-            lambdas, x, y1, y2, fk, fl, v1, False, 0.0, swapped,
-            "zero-detC scaling",
+        return Lemma2Result(lambdas, 1.0, y1, y2, fk, fl, v1, 0.0, swapped)
+
+    roots = _saturating_scalings(a, b, c1, c2, fk, fl)
+    if not roots:
+        raise NumericalConsistencyError(
+            "no admissible scaling saturates the separability bounds for "
+            f"a={a:.6g}, b={b:.6g}, c1={c1:.6g}, c2={c2:.6g}, "
+            f"f_k={fk:.6g}, f_l={fl:.6g}"
         )
-
-    attempt = _closed_form_attempt(a, b, c1, c2, fk, fl)
-    used_fallback = False
-    path = "closed form"
-    if attempt is not None:
-        u, v, x, y1, y2 = attempt
-        res = _saturation_residual(a, b, c1, c2, fk, fl, u, v)
-        if res > tol * max(1.0, fk + fl):
-            attempt = None
-    if attempt is None:
-        u, v, res = _fallback_solve(a, b, c1, c2, fk, fl)
-        used_fallback = True
-        path = "numerical scaling search"
-        x = 1.0
-        y1 = fk * np.sqrt(u)
-        y2 = fl * np.sqrt(v)
-        if res > tol * max(1.0, fk + fl):
-            raise NumericalConsistencyError(
-                "scaling search failed to saturate the separability bounds: "
-                f"residual {res:.3e} for a={a:.4g}, b={b:.4g}, "
-                f"c1={c1:.4g}, c2={c2:.4g}, f_k={fk:.4g}, f_l={fl:.4g}"
-            )
-
+    u, v = max(roots)
     qq, pp = _plane_blocks(a, b, c1, c2, u, v)
-    lam_q = np.linalg.eigvalsh(qq)
-    lam_p = np.linalg.eigvalsh(pp)
-    lambdas = (lam_q[1], lam_q[0], lam_p[1], lam_p[0])
-    v1 = np.diag(lambdas)
+    lambdas = (*_eig2(qq), *_eig2(pp))
+    res = abs(lambdas[1] - fk / 2.0) + abs(lambdas[3] - fl / 2.0)
+    if res > tol * max(1.0, fk + fl):
+        raise NumericalConsistencyError(
+            f"scaling (u={u:.6g}, v={v:.6g}) misses the separability bounds by "
+            f"{res:.3e} for a={a:.6g}, b={b:.6g}, c1={c1:.6g}, c2={c2:.6g}, "
+            f"f_k={fk:.6g}, f_l={fl:.6g}"
+        )
+    lambdas = tuple(float(lam) for lam in lambdas)
     return Lemma2Result(
-        lambdas, float(x), float(y1), float(y2), fk, fl, v1,
-        used_fallback, float(res), swapped, path,
+        lambdas, 1.0, float(fk * np.sqrt(u)), float(fl * np.sqrt(v)), fk, fl,
+        np.diag(lambdas), float(res), swapped,
     )
 
 
@@ -345,7 +274,10 @@ def nha_zubairy(state: QuantumState) -> float:
     the bound <N_B + 3/4> is (<f_1(N_A)> + <f_2(N_B)>)/2, with <f_2(N_B)>
     taken from the mode-B populations.
     """
-    cov = build_covariance(state, 1, 1, 2)
+    return _nz_from_covariance(build_covariance(state, 1, 1, 2))
+
+
+def _nz_from_covariance(cov: HigherOrderCovariance) -> float:
     v = cov.matrix
     var1 = v[0, 0] + v[2, 2] - 2.0 * v[0, 2]
     var2 = v[1, 1] + v[3, 3] + 2.0 * v[1, 3]
@@ -384,7 +316,8 @@ def evaluate_criteria(
     The verdict is cross-checked between the eigenvalue witness and the
     determinant inequality; disagreement outside the boundary band raises
     NumericalConsistencyError. Values within +-boundary_tol of zero report
-    "boundary" rather than forcing a side.
+    "boundary" rather than forcing a side. with_nz adds nha_zubairy, read
+    off this covariance when it is the n = 1 one of the (1, 2) process.
     """
     cov = build_covariance(state, n, k, l)
     nu = witness_nu_minus(cov)
@@ -403,7 +336,9 @@ def evaluate_criteria(
         verdict = "boundary"
     else:
         verdict = "separable"
-    nz = nha_zubairy(state) if with_nz else None
+    nz = None
+    if with_nz:
+        nz = _nz_from_covariance(cov) if (n, k, l) == (1, 1, 2) else nha_zubairy(state)
     return WitnessReport(
         n=n,
         k=k,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -117,6 +118,14 @@ class QuantumState:
     @property
     def is_pure(self) -> bool:
         return self.vector is not None
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Sorted flat Fock indices of a pure state's nonzero amplitudes, or
+        every index for a density matrix; found once per state."""
+        idx = np.flatnonzero(self.vector != 0) if self.is_pure else np.arange(self.layout.total_dim)
+        idx.flags.writeable = False
+        return idx
 
     def norm(self) -> float:
         if self.is_pure:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .criteria import evaluate_criteria, nha_zubairy
+from .criteria import evaluate_criteria
 from .dynamics import TOP_LEVEL_GUARD, EvolutionConfig, InteractionSpec, build_hamiltonian, evolve
 from .fock import (
     ModeLayout,
@@ -205,18 +205,20 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
 
     flags = []
     pops = []
-    nz_values = []
     for state in states:
         pop = top_level_population(state)
         flags.append("breach" if max(pop.values()) > TOP_LEVEL_GUARD else "ok")
         pops.append((pop[layout.pump], pop[layout.mode_a], pop[layout.mode_b]))
-        nz_values.append(nha_zubairy(state) if config.with_nz else None)
 
+    # the comparator rides on the smallest level's row; at n = 1 it is read
+    # off the covariance evaluate_criteria builds anyway
+    smallest_n = min(config.hierarchy)
     tasks = [(i, n) for i in range(len(states)) for n in config.hierarchy]
-    reports = [evaluate_criteria(states[i], n, config.k, config.l) for i, n in tasks]
+    reports = [evaluate_criteria(states[i], n, config.k, config.l,
+                                 with_nz=config.with_nz and n == smallest_n)
+               for i, n in tasks]
 
     rows = []
-    smallest_n = min(config.hierarchy)
     for (i, n), rep in zip(tasks, reports):
         rows.append(SweepRow(
             n=n,
@@ -228,7 +230,7 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
             ineq8=rep.ineq8_margin,
             lemma1=rep.lemma1_value,
             det_c=rep.det_c,
-            nz=nz_values[i] if n == smallest_n else None,
+            nz=rep.nz_value,
             verdict=rep.verdict,
             truncation_flag=flags[i],
             pop_pump=pops[i][0],

@@ -153,6 +153,37 @@ def test_mixed_state_covariance_matches_pure():
     assert cov_p.f_ka == pytest.approx(cov_m.f_ka, abs=1e-12)
 
 
+def test_density_and_pure_gram_branches_agree():
+    # |psi><psi| as a density matrix goes through the gather branch of
+    # build_covariance, psi itself through the product branch
+    rng = np.random.default_rng(41)
+    states = [spdc_state(xi=0.3, dims=(8, 11, 26), alpha=1.2)]
+    for dims in ((3, 7, 10), (7, 10)):
+        lay = ModeLayout(dims)
+        psi = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
+        tops = []
+        for dim in dims:
+            f = np.zeros(dim, dtype=complex)
+            f[-3:] = rng.normal(size=3) + 1j * rng.normal(size=3)
+            tops.append(f / np.linalg.norm(f))
+        states += [QuantumState(lay, vector=psi / np.linalg.norm(psi)), product_state(lay, *tops)]
+    for pure in states:
+        assert np.array_equal(pure.support, np.flatnonzero(pure.vector != 0))
+        assert pure.support is pure.support
+        mixed = QuantumState(pure.layout, matrix=pure.density())
+        for k, l in ((1, 2), (1, 3), (2, 1)):
+            for n in (1, 2, 3):
+                if max(n * k, n * l) > 9:
+                    continue
+                cov_p = build_covariance(pure, n, k, l)
+                cov_m = build_covariance(mixed, n, k, l)
+                scale = max(1.0, np.abs(cov_p.matrix).max())
+                assert np.abs(cov_p.matrix - cov_m.matrix).max() < 1e-12 * scale, (pure.layout, n, k, l)
+                assert np.abs(cov_p.first_moments - cov_m.first_moments).max() < 1e-12 * scale
+                assert cov_p.f_ka == pytest.approx(cov_m.f_ka, rel=1e-12)
+                assert cov_p.f_lb == pytest.approx(cov_m.f_lb, rel=1e-12)
+
+
 def test_invariants_on_tmsv_and_vacuum():
     r = 0.5
     cov = build_covariance(tmsv_state(r), 1, 1, 1)

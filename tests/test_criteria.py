@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+
+import hocov
 
 from hocov import (
     EvolutionConfig,
@@ -56,13 +65,13 @@ def spdc_trajectory(dims=(8, 7, 13), k=1, l=2, alpha=1.3, xi_max=0.5, steps=5):
     return evolve(psi0, h, cfg)
 
 
-def coherent_mixture_covariance(rng, dim=14, samples=40, rho=0.6):
+def coherent_mixture_covariance(rng, dim=14, samples=40, rho=0.6, noise=0.15):
     """Separable two-mode mixture of correlated coherent pairs, det C > 0."""
     lay = ModeLayout((dim, dim))
     total = np.zeros((dim * dim, dim * dim), dtype=complex)
     for _ in range(samples):
         beta = 0.5 * (rng.normal() + 1j * rng.normal())
-        gamma = rho * beta + 0.15 * (rng.normal() + 1j * rng.normal())
+        gamma = rho * beta + noise * (rng.normal() + 1j * rng.normal())
         vec = np.kron(coherent_state(beta, dim, allow_truncation=True),
                       coherent_state(gamma, dim, allow_truncation=True))
         total += np.outer(vec, vec.conj())
@@ -180,8 +189,7 @@ def test_lemma2_zero_detc_path():
         t_a=np.eye(2), t_b=np.eye(2),
     )
     res = lemma2_transform(sf)
-    assert res.path == "zero-detC scaling"
-    assert not res.used_fallback
+    # the det C = 0 scaling is recognised by its lambdas and its kept q-q coupling
     assert res.residual == 0.0
     lam = res.lambdas
     assert lam[0] == pytest.approx(2 * 0.8**2 / 0.5, abs=1e-12)
@@ -207,6 +215,111 @@ def test_lemma2_saturates_on_separable_mixtures():
         assert lemma1_check(trans_cov) >= -1e-8
         f = np.diag([res.f_k, res.f_k, res.f_l, res.f_l])
         assert np.linalg.eigvalsh(res.transformed - f / 2)[0] >= -1e-8
+
+
+# (a, b, c1, c2, f_ka, f_lb): both orders of a and b, unequal f, one c1 < 0
+HAND_BUILT_FORMS = (
+    (0.9, 1.2, 0.3, 0.1, 0.5, 0.5),
+    (1.2, 0.9, 0.3, 0.1, 0.5, 0.5),
+    (0.8, 1.1, 0.4, 0.2, 0.5, 1.0),
+    (2.0, 1.5, 0.9, 0.6, 1.5, 1.0),
+    (0.3, 0.4, -0.1, -0.05, 0.5, 0.5),
+)
+
+
+def acceptance_09_standard_forms():
+    """The 100 seeded mixtures of acceptance test 09, in standard form."""
+    rng = np.random.default_rng(71)
+    for _ in range(100):
+        rho = 0.45 + 0.3 * rng.random()
+        noise = 0.1 + 0.1 * rng.random()
+        yield standard_form(coherent_mixture_covariance(rng, rho=rho, noise=noise))
+
+
+def plane_blocks(a, b, c1, c2, u, v):
+    """The qq and pp planes of a standard form scaled by (u, v)."""
+    s = np.sqrt(abs(u * v))
+    qq = np.array([[a * u, c1 * s], [c1 * s, b * v]])
+    pp = np.array([[a / u, c2 / s], [c2 / s, b / v]])
+    return qq, pp
+
+
+def scaled_planes(sf, res):
+    """u and the qq and pp planes of sf after the scaling res reports, in the
+    arrangement it used (c1 >= 0, b >= a)."""
+    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
+    if c1 < 0:
+        c1, c2 = -c1, -c2
+    if res.swapped:
+        a, b = b, a
+    u = (res.x * res.y1 / res.f_k) ** 2
+    v = (res.y2 / (res.x * res.f_l)) ** 2
+    return (u, *plane_blocks(a, b, c1, c2, u, v))
+
+
+def test_lemma2_quadratic_saturates_both_planes():
+    forms = [StandardForm(*f, np.eye(2), np.eye(2)) for f in HAND_BUILT_FORMS]
+    for sf in [*forms, *acceptance_09_standard_forms()]:
+        res = lemma2_transform(sf)
+        _, qq, pp = scaled_planes(sf, res)
+        assert abs(np.linalg.eigvalsh(qq)[0] - res.f_k / 2) < 1e-10, sf
+        assert abs(np.linalg.eigvalsh(pp)[0] - res.f_l / 2) < 1e-10, sf
+        assert np.abs(np.linalg.eigvalsh(qq)[::-1] - res.lambdas[:2]).max() < 1e-10
+        assert np.abs(np.linalg.eigvalsh(pp)[::-1] - res.lambdas[2:]).max() < 1e-10
+        assert res.residual < 1e-10
+        assert (res.f_k, res.f_l) == ((sf.f_lb, sf.f_ka) if res.swapped else (sf.f_ka, sf.f_lb))
+
+
+def admissible_scalings(a, b, c1, c2, fk, fl):
+    """Every u where both planes' smaller eigenvalues sit at f/2, found
+    without the quadratic: along the curve where det(qq - f_k/2) = 0, keep
+    the stretches where f_k/2 is the smaller qq eigenvalue and bracket the
+    zeros of the pp plane's smaller eigenvalue minus f_l/2."""
+
+    def planes(u):
+        v = (fk * a * u / 2 - fk**2 / 4) / ((a * b - c1**2) * u - fk * b / 2)
+        return (v, *plane_blocks(a, b, c1, c2, u, v))
+
+    def admissible(u):
+        v, qq, _ = planes(u)
+        return v > 0 and abs(np.linalg.eigvalsh(qq)[0] - fk / 2) < 1e-9
+
+    def gap(u):
+        return np.linalg.eigvalsh(planes(u)[2])[0] - fl / 2
+
+    grid = np.geomspace(1e-2, 1e2, 1601)
+    return [brentq(gap, lo, hi, xtol=1e-15)
+            for lo, hi in zip(grid[:-1], grid[1:])
+            if admissible(lo) and admissible(hi) and gap(lo) * gap(hi) < 0]
+
+
+def test_lemma2_takes_the_admissible_root_with_larger_u():
+    forms = [StandardForm(*f, np.eye(2), np.eye(2)) for f in HAND_BUILT_FORMS[2:4]]
+    forms += list(islice(acceptance_09_standard_forms(), 3))
+    for sf in forms:
+        res = lemma2_transform(sf)
+        a, b = (sf.b, sf.a) if res.swapped else (sf.a, sf.b)
+        roots = admissible_scalings(a, b, sf.c1, sf.c2, res.f_k, res.f_l)
+        assert len(roots) == 2
+        u, _, _ = scaled_planes(sf, res)
+        assert u == pytest.approx(max(roots), rel=1e-9)
+
+
+def test_lemma2_without_admissible_root_raises():
+    # both planes far below f/2: the quadratic has two positive roots, but at
+    # each f/2 is the larger eigenvalue of both planes (traces 0.28 < f)
+    sf = StandardForm(0.1, 0.1, 0.05, 0.05, 0.5, 0.5, np.eye(2), np.eye(2))
+    with pytest.raises(NumericalConsistencyError, match="no admissible scaling .* for "
+                       "a=0.1, b=0.1, c1=0.05, c2=0.05, f_k=0.5, f_l=0.5"):
+        lemma2_transform(sf)
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(hocov.__file__).resolve().parents[1])
+    code = "import sys, hocov; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_lemma2_rejects_negative_detc():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hocov.criteria
 import hocov.sweep
 from hocov import UnsupportedOrderError
 from hocov.cli import main
@@ -53,17 +54,30 @@ def test_sweep_rows_and_zero_point():
     assert [r.xi for r in by_n[1]] == [r.xi for r in by_n[2]]
 
 
-def test_sweep_with_nz_column():
+def test_sweep_with_nz_column(monkeypatch):
+    calls = []
+    build = hocov.criteria.build_covariance
+    monkeypatch.setattr(hocov.criteria, "build_covariance",
+                        lambda *args: calls.append(args[1:]) or build(*args))
     result = run_sweep(tiny_config(with_nz=True))
+    # one covariance per (point, level): the comparator reuses the n = 1 one
+    assert len(calls) == len(result.rows)
     for row in result.rows:
         if row.n == 1:
-            assert row.nz is not None
+            assert row.nz == hocov.criteria.nha_zubairy(result.states[result.xi_grid.index(row.xi)])
         else:
             assert row.nz is None
     # the zero-variance comparator starts at zero and goes negative
     nz = [r.nz for r in result.rows if r.n == 1]
     assert abs(nz[0]) < 1e-12
     assert nz[-1] < 0
+
+    # without level 1 the comparator still comes from the n = 1 covariance
+    calls.clear()
+    result = run_sweep(tiny_config(with_nz=True, hierarchy=(2,)))
+    assert len(calls) == 2 * len(result.rows)
+    for row, state in zip(result.rows, result.states):
+        assert row.nz == hocov.criteria.nha_zubairy(state)
 
 
 def test_csv_determinism_and_roundtrip(tmp_path):
