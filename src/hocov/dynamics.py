@@ -7,23 +7,31 @@ The nonlinear interaction (hbar = 1) is
 on a (pump, A, B) layout. The dimensionless sweep coordinate is
 xi = kappa * t * alpha_p, so grid times are t_j = xi_j / (kappa * alpha_p).
 
+a+^k b+^l p moves the flat Fock index r = (n_p d_A + n_a) d_B + n_b by
+-(d_A d_B - k d_B - l), so H is two masked diagonals at that offset and its
+negative. The builders write those CSR arrays straight from the ladder
+weights by index arithmetic; the classical pump is the same two bands with
+the shifts (1, 1).
+
 H conserves k N_P + N_A and l N_A - k N_B, so its sparsity graph splits into
 disjoint blocks: from |n0>_P |0,0> a state only ever visits the chain
-|n0 - j, k j, l j>. Evolution labels the connected components of that graph,
-keeps the few that meet the initial state's support, diagonalizes each block
-once and forms every grid point exactly as psi(t) = V exp(-i Lambda t) V+ psi0.
-There is no time stepper, so the result does not depend on the grid spacing.
+|n0 - j, k j, l j>. Evolution walks the graph outward from the initial
+state's support, labels the blocks of the part it reaches (a few thousand of
+the hundreds of thousands of states), diagonalizes each block once and forms
+every grid point exactly as psi(t) = V exp(-i Lambda t) V+ psi0. There is no
+time stepper, so the result does not depend on the grid spacing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .fock import ModeLayout, QuantumState, TruncatedOperator, annihilation, embed, top_level_population
+from .fock import ModeLayout, QuantumState, TruncatedOperator, top_level_population
 
 TOP_LEVEL_GUARD = 1e-6
 
@@ -62,6 +70,62 @@ class InteractionSpec:
             raise ValueError("kappa must be positive")
 
 
+def _shift_weights(dim: int, m: int) -> np.ndarray:
+    """Weights of the truncated ladder power that moves |n> to |n + m>.
+
+    sqrt((n+1) ... (n+m)) for a+^m, 0 where n + m >= dim; sqrt(n (n-1) ...
+    (n+m+1)) for a^|m|, which vanishes by itself where n < |m|.
+    """
+    n = np.arange(dim)
+    w = np.ones(dim)
+    for j in range(abs(m)):
+        w *= n + j + 1 if m > 0 else n - j
+    w[n + m >= dim] = 0.0
+    return np.sqrt(w)
+
+
+def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float) -> sparse.csr_matrix:
+    """CSR matrix of i*coupling*(U - U+), where U moves |n> to |n + shifts>.
+
+    U is a product of one truncated ladder power per mode, so it is the flat
+    index shift r -> r + t, t = sum(shifts * strides), with source weights
+    c[r] that are an outer product of the modes' weights. H is then two
+    masked diagonals: row i holds H[i, i - s] and H[i, i + s] = conj(H[i + s, i])
+    with s = |t|, and no stored zeros. The arrays are written straight from
+    the masks, with no operator product.
+    """
+    dims = layout.dims
+    c = _shift_weights(dims[0], shifts[0])
+    for dim, m in zip(dims[1:], shifts[1:]):
+        c = np.multiply.outer(c, _shift_weights(dim, m))
+    t = sum(m * math.prod(dims[i + 1:]) for i, m in enumerate(shifts))
+    n, s = c.size, abs(t)
+    # H[r + t, r] = i g c[r] and H[r, r + t] = -i g c[r], so row i holds
+    # i g low[i] at column i - s and -i g low[i + s] at column i + s
+    low = np.zeros(n)
+    low[s:] = c.ravel()[:n - s] if t > 0 else -c.ravel()[s:]
+    del c  # freed before the output arrays are allocated
+    has_low = low != 0
+    has_high = np.zeros(n, dtype=bool)
+    has_high[:n - s] = has_low[s:]
+    # the index dtype scipy would pick, so the arrays are not copied
+    itype = np.int32 if 2 * n < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(has_low.astype(itype) + has_high, out=indptr[1:])
+    # H is purely imaginary: only the imaginary parts are written
+    data = np.zeros(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=itype)
+    rows = np.flatnonzero(has_low)
+    at = indptr[rows]
+    data.imag[at] = coupling * low[rows]
+    indices[at] = rows - s
+    rows = np.flatnonzero(has_high)
+    at = indptr[rows + 1] - 1
+    data.imag[at] = -coupling * low[rows + s]
+    indices[at] = rows + s
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def build_hamiltonian(spec: InteractionSpec) -> TruncatedOperator:
     """Sparse trilinear Hamiltonian i*kappa*(a+^k b+^l p - h.c.) on a 3-mode layout."""
     layout = spec.layout
@@ -72,21 +136,13 @@ def build_hamiltonian(spec: InteractionSpec) -> TruncatedOperator:
             "k + l >= 3 required for the nonlinear interaction; "
             "use build_classical_pump_hamiltonian for the k = l = 1 Gaussian oracle"
         )
-    dim_p, dim_a, dim_b = layout.dims
+    _, dim_a, dim_b = layout.dims
     if spec.k >= dim_a:
         raise ValueError(f"k={spec.k} exceeds mode-A cutoff {dim_a}")
     if spec.l >= dim_b:
         raise ValueError(f"l={spec.l} exceeds mode-B cutoff {dim_b}")
-    adag_k = np.linalg.matrix_power(annihilation(dim_a).T, spec.k)
-    bdag_l = np.linalg.matrix_power(annihilation(dim_b).T, spec.l)
-    p = annihilation(dim_p)
-    up = (
-        embed(adag_k, layout.mode_a, layout).data
-        @ embed(bdag_l, layout.mode_b, layout).data
-        @ embed(p, layout.pump, layout).data
-    )
-    h = 1j * spec.kappa * (up - up.conj().T)
-    return TruncatedOperator(layout, h.tocsr(), hermitian=True)
+    h = _two_band(layout, (-1, spec.k, spec.l), spec.kappa)
+    return TruncatedOperator(layout, h, hermitian=True)
 
 
 def build_classical_pump_hamiltonian(spec: InteractionSpec, alpha_p: float) -> TruncatedOperator:
@@ -100,12 +156,8 @@ def build_classical_pump_hamiltonian(spec: InteractionSpec, alpha_p: float) -> T
         raise ValueError("classical-pump oracle needs a two-mode (A, B) layout")
     if spec.k != 1 or spec.l != 1:
         raise ValueError("classical-pump oracle is defined for k = l = 1 only")
-    dim_a, dim_b = layout.dims
-    adag = annihilation(dim_a).T
-    bdag = annihilation(dim_b).T
-    up = embed(adag, 0, layout).data @ embed(bdag, 1, layout).data
-    h = 1j * spec.kappa * alpha_p * (up - up.conj().T)
-    return TruncatedOperator(layout, h.tocsr(), hermitian=True)
+    h = _two_band(layout, (1, 1), spec.kappa * alpha_p)
+    return TruncatedOperator(layout, h, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -144,15 +196,29 @@ def _sector_blocks(h: sparse.csr_matrix, support: np.ndarray, tol: float) -> lis
     """(indices, eigenvalues, eigenvectors) of every block of h meeting ``support``.
 
     Blocks are the connected components of h's sparsity graph; the others
-    never exchange amplitude with the state and are skipped.
+    never exchange amplitude with the state and are skipped. The walk starts
+    at ``support`` and adds every stored neighbour of the frontier, read from
+    h.indptr and h.indices in one gather, until nothing new is reached; only
+    that subgraph is labelled, so the cost follows the blocks, not h.
     """
-    ncomp, labels = connected_components(abs(h), directed=False)
-    hit = np.zeros(ncomp, dtype=bool)
-    hit[labels[support]] = True
-    idx = np.flatnonzero(hit[labels])
-    idx = idx[np.argsort(labels[idx], kind="stable")]
+    reached = np.zeros(h.shape[0], dtype=bool)
+    reached[support] = True
+    frontier = support
+    while frontier.size:
+        start = h.indptr[frontier]
+        count = h.indptr[frontier + 1] - start
+        # stored positions start[i] .. start[i] + count[i] - 1 of every frontier row
+        pos = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        nbr = h.indices[pos]
+        frontier = np.unique(nbr[~reached[nbr]])
+        reached[frontier] = True
+    idx = np.flatnonzero(reached)
+    # abs: connected_components casts to float, which zeroes a purely imaginary h
+    _, labels = connected_components(abs(h[idx][:, idx]), directed=False)
+    order = np.argsort(labels, kind="stable")
+    idx = idx[order]
     sub = h[idx][:, idx]
-    bounds = np.flatnonzero(np.diff(labels[idx], prepend=-1, append=-1))
+    bounds = np.flatnonzero(np.diff(labels[order], prepend=-1, append=-1))
     blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         hb = sub[lo:hi, lo:hi].toarray()
@@ -185,8 +251,11 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
     """
     if hamiltonian.layout.dims != state.layout.dims:
         raise ValueError("state and Hamiltonian live on different layouts")
-    x0 = state.vector if state.is_pure else state.matrix
-    support = np.flatnonzero(np.any(x0.reshape(len(x0), -1) != 0, axis=1))
+    if state.is_pure:
+        x0, support = state.vector, state.support
+    else:
+        x0 = state.matrix
+        support = np.flatnonzero(np.any(x0 != 0, axis=1))
     blocks = _sector_blocks(hamiltonian.data, support, config.tol)
 
     states: list[QuantumState] = []

@@ -275,6 +275,13 @@ def top_level_population(state: QuantumState, levels: int = 2) -> dict[int, floa
     This is the post-hoc truncation guard: trajectories whose top two levels
     in any mode accumulate more than ~1e-6 population should not be trusted.
     """
+    if state.is_pure:
+        # only the nonzero amplitudes carry population
+        idx = state.support
+        p = np.abs(state.vector[idx]) ** 2
+        occ = np.unravel_index(idx, state.layout.dims)
+        return {mode: float(p[occ[mode] >= dim - levels].sum())
+                for mode, dim in enumerate(state.layout.dims)}
     pops = state.populations()
     return {mode: float(np.moveaxis(pops, mode, 0)[-levels:].sum())
             for mode in range(state.layout.nmodes)}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from hocov import (
@@ -10,6 +11,7 @@ from hocov import (
     InteractionSpec,
     ModeLayout,
     QuantumState,
+    annihilation,
     build_classical_pump_hamiltonian,
     build_hamiltonian,
     coherent_state,
@@ -21,6 +23,7 @@ from hocov import (
     thermal_state,
     vacuum_state,
 )
+from hocov.dynamics import _sector_blocks
 
 
 def trilinear_setup(dims=(6, 5, 9), k=1, l=2, kappa=1.0):
@@ -35,6 +38,105 @@ def test_hamiltonian_is_hermitian_and_traceless():
     assert np.abs(dense - dense.conj().T).max() < 1e-14
     assert abs(np.trace(dense)) < 1e-14
     assert h.hermitian
+
+
+def kronecker_hamiltonian(spec, alpha_p=None):
+    """Reference H from embedded single-mode operators and sparse products."""
+    lay = spec.layout
+    if alpha_p is None:
+        adag_k = np.linalg.matrix_power(annihilation(lay.dims[1]).T, spec.k)
+        bdag_l = np.linalg.matrix_power(annihilation(lay.dims[2]).T, spec.l)
+        up = (embed(adag_k, 1, lay).data @ embed(bdag_l, 2, lay).data
+              @ embed(annihilation(lay.dims[0]), 0, lay).data)
+        g = spec.kappa
+    else:
+        up = embed(annihilation(lay.dims[0]).T, 0, lay).data @ embed(annihilation(lay.dims[1]).T, 1, lay).data
+        g = spec.kappa * alpha_p
+    return (1j * g * (up - up.conj().T)).tocsr()
+
+
+def assert_same_operator(h, ref):
+    ref.sort_indices()
+    assert h.nnz == ref.nnz
+    assert np.all(h.data != 0)
+    assert np.array_equal(h.indptr, ref.indptr)
+    assert np.array_equal(h.indices, ref.indices)
+    assert np.abs(h.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 1), (2, 3)])
+@pytest.mark.parametrize("dims", [(5, 7, 8), (6, 4, 12), (9, 11, 13), (2, 4, 4)])
+def test_banded_hamiltonian_matches_kronecker_construction(k, l, dims):
+    spec = InteractionSpec(ModeLayout(dims), k=k, l=l, kappa=1.7)
+    assert_same_operator(build_hamiltonian(spec).data, kronecker_hamiltonian(spec))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (5, 9), (12, 7), (24, 24)])
+def test_classical_pump_matches_kronecker_construction(dims):
+    spec = InteractionSpec(ModeLayout(dims), k=1, l=1, kappa=0.8)
+    assert_same_operator(build_classical_pump_hamiltonian(spec, 2.5).data,
+                         kronecker_hamiltonian(spec, alpha_p=2.5))
+
+
+def planted_hermitian(rng, sizes):
+    """Random sparse Hermitian matrix whose components are random trees over
+    the given sizes (plus random extra edges), on a shuffled index set; its
+    entries are purely imaginary, like the interaction's."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    rows, cols = [], []
+    start = 0
+    for size in sizes:
+        members = perm[start:start + size]
+        for j in range(1, size):
+            rows.append(members[j])
+            cols.append(members[rng.integers(j)])
+        for _ in range(size // 3):
+            a, b = rng.choice(members, 2)
+            rows.append(a)
+            cols.append(b)
+        start += size
+    vals = 1j * rng.uniform(0.5, 2.0, size=len(rows))
+    up = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return (up + up.conj().T).tocsr()
+
+
+def whole_graph_blocks(h, support):
+    _, labels = connected_components(abs(h), directed=False)
+    hit = np.unique(labels[support])
+    return {tuple(np.flatnonzero(labels == lab)) for lab in hit}
+
+
+def test_support_walk_finds_the_blocks_of_whole_graph_labelling():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        sizes = list(rng.integers(1, 9, size=rng.integers(3, 25)))
+        h = planted_hermitian(rng, sizes)
+        n = h.shape[0]
+        _, labels = connected_components(abs(h), directed=False)
+        big = np.flatnonzero(labels == np.bincount(labels).argmax())
+        supports = [
+            np.arange(n),  # a full-support density matrix
+            np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)),
+            np.sort(rng.choice(big, size=min(2, len(big)), replace=False)),  # two states in one block
+            np.array([rng.integers(n)]),
+        ]
+        for support in supports:
+            blocks = _sector_blocks(h, support, 1e-9)
+            assert {tuple(np.sort(idx)) for idx, _, _ in blocks} == whole_graph_blocks(h, support)
+            for idx, lam, vec in blocks:
+                hb = h[idx][:, idx].toarray()
+                assert np.abs(hb @ vec - vec * lam).max() < 1e-12
+
+
+def test_support_walk_on_the_interaction():
+    lay, h = trilinear_setup(dims=(7, 6, 11), k=1, l=2)
+    pump = coherent_state(1.1, 7)
+    psi0 = product_state(lay, pump, np.eye(6, dtype=complex)[:, 0], np.eye(11, dtype=complex)[:, 0])
+    blocks = _sector_blocks(h.data, psi0.support, 1e-9)
+    assert {tuple(np.sort(idx)) for idx, _, _ in blocks} == whole_graph_blocks(h.data, psi0.support)
+    # one chain |n0 - j, j, 2j> per pump number, cut by the A and B cutoffs
+    assert sorted(len(idx) for idx, _, _ in blocks) == sorted(min(n0, 5) + 1 for n0 in range(7))
 
 
 def test_builder_validation():
