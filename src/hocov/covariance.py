@@ -34,7 +34,6 @@ from .fock import DegenerateStateError, ModeLayout, QuantumState, TruncatedOpera
 from .quadratures import check_order, expectation, f_polynomial, nonlinear_quadratures
 
 _MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
-_J0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # R = (Q_A, P_A, Q_B, P_B) in terms of the ladder powers (1, A, A+, B, B+):
 # Q = (A + A+)/2 and P = i(A+ - A)/2
 _LADDER_TO_R = np.array([

@@ -32,6 +32,8 @@ from .covariance import (
 from .fock import QuantumState
 
 _J0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# witness and determinant-inequality values this close to zero read "boundary"
+BOUNDARY_TOL = 1e-9
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -309,13 +311,12 @@ def evaluate_criteria(
     k: int,
     l: int,
     with_nz: bool = False,
-    boundary_tol: float = 1e-9,
 ) -> WitnessReport:
     """Evaluate the full criteria stack on one state.
 
     The verdict is cross-checked between the eigenvalue witness and the
     determinant inequality; disagreement outside the boundary band raises
-    NumericalConsistencyError. Values within +-boundary_tol of zero report
+    NumericalConsistencyError. Values within +-BOUNDARY_TOL of zero report
     "boundary" rather than forcing a side. with_nz adds nha_zubairy, read
     off this covariance when it is the n = 1 one of the (1, 2) process.
     """
@@ -323,8 +324,8 @@ def evaluate_criteria(
     nu = witness_nu_minus(cov)
     m7 = inequality7_margin(cov)
     m8 = inequality8_margin(cov)
-    ent_nu = nu < -boundary_tol
-    ent_m8 = m8 < -boundary_tol
+    ent_nu = nu < -BOUNDARY_TOL
+    ent_m8 = m8 < -BOUNDARY_TOL
     if ent_nu != ent_m8:
         raise NumericalConsistencyError(
             "witness and determinant inequality disagree: "
@@ -332,7 +333,7 @@ def evaluate_criteria(
         )
     if ent_nu:
         verdict = "entangled"
-    elif abs(nu) <= boundary_tol or abs(m8) <= boundary_tol:
+    elif abs(nu) <= BOUNDARY_TOL or abs(m8) <= BOUNDARY_TOL:
         verdict = "boundary"
     else:
         verdict = "separable"

@@ -15,11 +15,11 @@ the shifts (1, 1).
 
 H conserves k N_P + N_A and l N_A - k N_B, so its sparsity graph splits into
 disjoint blocks: from |n0>_P |0,0> a state only ever visits the chain
-|n0 - j, k j, l j>. Evolution walks the graph outward from the initial
-state's support, labels the blocks of the part it reaches (a few thousand of
-the hundreds of thousands of states), diagonalizes each block once and forms
-every grid point exactly as psi(t) = V exp(-i Lambda t) V+ psi0. There is no
-time stepper, so the result does not depend on the grid spacing.
+|n0 - j, k j, l j>. Evolution is for pure states (a coherent pump and vacuum
+signal and idler stay pure): it walks the graph from the state's support,
+labelling the blocks it reaches as it goes, diagonalizes each block once and
+forms every grid point exactly as psi(t) = V exp(-i Lambda t) V+ psi0. There
+is no time stepper, so the result does not depend on the grid spacing.
 """
 
 from __future__ import annotations
@@ -29,19 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
-from .fock import ModeLayout, QuantumState, TruncatedOperator, top_level_population
+from .fock import ModeLayout, QuantumState, TruncatedOperator
 
-TOP_LEVEL_GUARD = 1e-6
+NORM_TOL = 1e-8  # largest drift of an evolved state's norm from 1
 
 
 class IntegratorError(RuntimeError):
     """Raised when evolution misses its accuracy target.
 
     ``residual`` is a block's eigen-residual max |H_b V - V Lambda| when it
-    exceeds tol * max(1, max |Lambda|), or an evolved state's norm or trace
-    drift when that exceeds norm_tol.
+    exceeds tol * max(1, max |Lambda|), or an evolved state's norm drift
+    when that exceeds NORM_TOL.
     """
 
     def __init__(self, message: str, residual: float | None = None):
@@ -166,15 +165,14 @@ class EvolutionConfig:
 
     xi_grid must be strictly increasing and start at 0; times are
     t_j = xi_j / (kappa * alpha_p). tol bounds each block's eigen-residual
-    max |H_b V - V Lambda| relative to max(1, max |Lambda|); norm_tol bounds
-    the norm or trace drift of every evolved state.
+    max |H_b V - V Lambda| relative to max(1, max |Lambda|); the norm drift
+    of every evolved state is held to the module's NORM_TOL.
     """
 
     xi_grid: tuple[float, ...]
     kappa: float
     alpha_p: float
     tol: float = 1e-9
-    norm_tol: float = 1e-8
 
     def __post_init__(self):
         grid = tuple(float(x) for x in self.xi_grid)
@@ -192,36 +190,49 @@ class EvolutionConfig:
         return np.asarray(self.xi_grid) / (self.kappa * self.alpha_p)
 
 
+def _stored(h: sparse.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in h.data/h.indices of the stored entries of ``rows``, and
+    the number each row holds, in one gather."""
+    start = h.indptr[rows]
+    count = h.indptr[rows + 1] - start
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count), count
+
+
 def _sector_blocks(h: sparse.csr_matrix, support: np.ndarray, tol: float) -> list:
     """(indices, eigenvalues, eigenvectors) of every block of h meeting ``support``.
 
     Blocks are the connected components of h's sparsity graph; the others
-    never exchange amplitude with the state and are skipped. The walk starts
-    at ``support`` and adds every stored neighbour of the frontier, read from
-    h.indptr and h.indices in one gather, until nothing new is reached; only
-    that subgraph is labelled, so the cost follows the blocks, not h.
+    never exchange amplitude with the state and are skipped. The walk labels
+    while it goes: each support index starts with its own index as label,
+    and every step pushes the smaller label across the stored entries of the
+    rows whose label just fell, until no label falls. A block then carries
+    the smallest support index in it, and the cost follows the blocks, not h.
     """
-    reached = np.zeros(h.shape[0], dtype=bool)
-    reached[support] = True
-    frontier = support
-    while frontier.size:
-        start = h.indptr[frontier]
-        count = h.indptr[frontier + 1] - start
-        # stored positions start[i] .. start[i] + count[i] - 1 of every frontier row
-        pos = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    n = h.shape[0]
+    label = np.full(n, n, dtype=h.indices.dtype)  # n: not reached
+    label[support] = support
+    fell = support
+    while fell.size:
+        pos, count = _stored(h, fell)
         nbr = h.indices[pos]
-        frontier = np.unique(nbr[~reached[nbr]])
-        reached[frontier] = True
-    idx = np.flatnonzero(reached)
-    # abs: connected_components casts to float, which zeroes a purely imaginary h
-    _, labels = connected_components(abs(h[idx][:, idx]), directed=False)
-    order = np.argsort(labels, kind="stable")
-    idx = idx[order]
-    sub = h[idx][:, idx]
-    bounds = np.flatnonzero(np.diff(labels[order], prepend=-1, append=-1))
+        before = label[nbr]
+        np.minimum.at(label, nbr, np.repeat(label[fell], count))
+        fell = np.unique(nbr[label[nbr] < before])
+    idx = np.flatnonzero(label < n)
+    idx = idx[np.argsort(label[idx], kind="stable")]
+    bounds = np.flatnonzero(np.diff(label[idx], prepend=-1, append=-1))
+    # idx[i]'s stored entries are pos[ends[i]:ends[i + 1]], so each block's
+    # entries form one run
+    pos, count = _stored(h, idx)
+    ends = np.concatenate(([0], np.cumsum(count)))
+    row = np.repeat(np.arange(idx.size), count)
+    label[idx] = np.arange(idx.size)  # from here on: position in idx
+    col = label[h.indices[pos]]
     blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        hb = sub[lo:hi, lo:hi].toarray()
+        run = slice(ends[lo], ends[hi])
+        hb = np.zeros((hi - lo, hi - lo), dtype=complex)
+        np.add.at(hb, (row[run] - lo, col[run] - lo), h.data[pos[run]])
         lam, vec = np.linalg.eigh(hb)
         residual = float(np.abs(hb @ vec - vec * lam).max())
         if residual > tol * max(1.0, float(np.abs(lam).max())):
@@ -233,7 +244,7 @@ def _sector_blocks(h: sparse.csr_matrix, support: np.ndarray, tol: float) -> lis
 
 
 def _propagate(blocks: list, x: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) x for a vector, or each column of a matrix, on the blocks."""
+    """exp(-i t H) x on the blocks; amplitudes outside them stay zero."""
     out = np.zeros(x.shape, dtype=complex)
     for idx, lam, vec in blocks:
         out[idx] = (vec * np.exp(-1j * t * lam)) @ (vec.conj().T @ x[idx])
@@ -241,40 +252,23 @@ def _propagate(blocks: list, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: EvolutionConfig) -> list[QuantumState]:
-    """Propagate ``state`` to every xi grid point (the first entry is t = 0).
+    """Propagate a pure ``state`` to every xi grid point (the first entry is t = 0).
 
     ``hamiltonian`` may be any Hermitian operator on the state's layout. A
-    density matrix evolves as U rho U+ = (U (U rho)+)+, with the same column
-    propagator applied twice. Norm/trace deviations beyond config.norm_tol
-    raise; a top-two-level population above the truncation guard is attached
-    as a note.
+    density matrix is refused before any work: the interaction keeps a pure
+    initial state pure. A norm drift beyond NORM_TOL raises IntegratorError;
+    whether the truncation is adequate is the sweep's call.
     """
+    if not state.is_pure:
+        raise ValueError("evolve propagates pure states; got a density matrix")
     if hamiltonian.layout.dims != state.layout.dims:
         raise ValueError("state and Hamiltonian live on different layouts")
-    if state.is_pure:
-        x0, support = state.vector, state.support
-    else:
-        x0 = state.matrix
-        support = np.flatnonzero(np.any(x0 != 0, axis=1))
-    blocks = _sector_blocks(hamiltonian.data, support, config.tol)
-
+    blocks = _sector_blocks(hamiltonian.data, state.support, config.tol)
     states: list[QuantumState] = []
     for x, t in zip(config.xi_grid, config.times()):
-        if state.is_pure:
-            new = QuantumState(state.layout, vector=_propagate(blocks, x0, t), time=float(t))
-        else:
-            rho = _propagate(blocks, _propagate(blocks, x0, t).conj().T, t).conj().T
-            new = QuantumState(state.layout, matrix=rho, time=float(t))
+        new = QuantumState(state.layout, vector=_propagate(blocks, state.vector, t), time=float(t))
         drift = abs(new.norm() - 1.0)
-        if drift > config.norm_tol:
-            kind = "norm" if state.is_pure else "trace"
-            raise IntegratorError(f"{kind} drifted to {new.norm():.12f} at xi={x}", residual=drift)
-        pops = top_level_population(new)
-        breaches = {m: p for m, p in pops.items() if p > TOP_LEVEL_GUARD}
-        if breaches:
-            note = ("truncation guard: top-two-level population "
-                    + ", ".join(f"mode{m}={p:.2e}" for m, p in sorted(breaches.items())))
-            new = QuantumState(new.layout, vector=new.vector, matrix=new.matrix,
-                               time=new.time, notes=(note,))
+        if drift > NORM_TOL:
+            raise IntegratorError(f"norm drifted to {new.norm():.12f} at xi={x}", residual=drift)
         states.append(new)
     return states

@@ -9,7 +9,7 @@ chained Kronecker products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,15 +90,13 @@ class QuantumState:
     """Pure state vector or density matrix on a layout.
 
     ``vector`` xor ``matrix`` is set. ``time`` records the physical time the
-    state was evolved to (0 for freshly constructed states). ``notes`` carries
-    non-fatal diagnostics attached during evolution.
+    state was evolved to (0 for freshly constructed states).
     """
 
     layout: ModeLayout
     vector: np.ndarray | None = None
     matrix: np.ndarray | None = None
     time: float = 0.0
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         n = self.layout.total_dim

@@ -23,6 +23,7 @@ from scipy import sparse
 from .fock import ModeLayout, QuantumState, TruncatedOperator, annihilation, embed
 
 MAX_ORDER = 9
+IMAG_TOL = 1e-8  # largest imaginary part <op> of a Hermitian operator may show
 
 
 class UnsupportedOrderError(ValueError):
@@ -182,11 +183,11 @@ def expectation(op, state: QuantumState) -> complex:
     return complex(np.trace(prod))
 
 
-def symmetrized_covariance(op1, op2, state: QuantumState, imag_tol: float = 1e-8) -> float:
+def symmetrized_covariance(op1, op2, state: QuantumState) -> float:
     """Cov_sym(op1, op2) = <{op1, op2}>/2 - <op1><op2> for Hermitian operators.
 
     The symmetrized moment of two Hermitian operators is real up to numerics;
-    a residual imaginary part above imag_tol raises.
+    a residual imaginary part above IMAG_TOL raises.
     """
     m1 = op1.data if isinstance(op1, TruncatedOperator) else op1
     m2 = op2.data if isinstance(op2, TruncatedOperator) else op2
@@ -202,6 +203,6 @@ def symmetrized_covariance(op1, op2, state: QuantumState, imag_tol: float = 1e-8
         e2 = expectation(m2, state)
     sym = m12.real - e1.real * e2.real  # Re<op1 op2> = <{op1,op2}>/2 for Hermitian ops
     for z, name in ((e1, "op1"), (e2, "op2")):
-        if abs(z.imag) > imag_tol:
+        if abs(z.imag) > IMAG_TOL:
             raise ValueError(f"<{name}> has imaginary residue {z.imag:.2e} (not Hermitian?)")
     return float(sym)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .criteria import evaluate_criteria
-from .dynamics import TOP_LEVEL_GUARD, EvolutionConfig, InteractionSpec, build_hamiltonian, evolve
+from .dynamics import EvolutionConfig, InteractionSpec, build_hamiltonian, evolve
 from .fock import (
     ModeLayout,
     QuantumState,
@@ -25,6 +25,10 @@ from .fock import (
     top_level_population,
 )
 from .quadratures import MAX_ORDER, UnsupportedOrderError
+
+# a grid point whose top two Fock levels hold more population than this, in
+# any mode, is flagged "breach"
+TOP_LEVEL_GUARD = 1e-6
 
 _CSV_COLUMNS = (
     "n,k,l,xi,nu_minus,ineq7,ineq8,lemma1,detC,nz,verdict,truncation_flag,"
@@ -189,7 +193,7 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
     """Evolve from vacuum signal/idler and evaluate every criterion.
 
     The evolution runs once; a grid point is flagged "breach" when a mode's
-    top-two-level population exceeds dynamics.TOP_LEVEL_GUARD.
+    top-two-level population exceeds TOP_LEVEL_GUARD.
     """
     layout = ModeLayout(tuple(config.dims))
     spec = InteractionSpec(layout, config.k, config.l, config.kappa)
@@ -354,12 +358,11 @@ def emit_plot_data(rows, path: str, series: tuple = ("nu1", "nu2", "nu3")) -> No
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def convergence_check(config: SweepConfig, stride: int = 5,
-                      dim_boost: tuple | None = None) -> dict:
+def convergence_check(config: SweepConfig, stride: int = 5) -> dict:
     """Estimate the truncation error of the witness values.
 
     Re-runs a strided subsample of the xi grid with every mode truncation
-    enlarged by config.convergence_step (or dim_boost) and reports the
+    enlarged by config.convergence_step and reports the
     largest |drift| of nu_minus across grid points and hierarchy levels.
     Evolution is exact within each charge sector, so the coarser check grid
     reproduces the full grid's values at the shared points and enlarging the
@@ -367,14 +370,13 @@ def convergence_check(config: SweepConfig, stride: int = 5,
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    boost = config.convergence_step if dim_boost is None else dim_boost
     subgrid = config.xi_grid()[::stride]
     sub_max = subgrid[-1]
     base_cfg = replace(config, with_nz=False,
                        xi_step=config.xi_step * stride, xi_max=sub_max)
     boosted_cfg = replace(
         base_cfg,
-        dims=tuple(d + b for d, b in zip(config.dims, boost)),
+        dims=tuple(d + b for d, b in zip(config.dims, config.convergence_step)),
     )
     base = run_sweep(base_cfg, keep_states=False)
     boosted = run_sweep(boosted_cfg, keep_states=False)

@@ -316,10 +316,11 @@ def test_lemma2_without_admissible_root_raises():
 
 def test_import_does_not_load_scipy_optimize():
     src = str(Path(hocov.__file__).resolve().parents[1])
-    code = "import sys, hocov; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, hocov; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_lemma2_rejects_negative_detc():

@@ -20,7 +20,6 @@ from hocov import (
     expectation,
     number_operator,
     product_state,
-    thermal_state,
     vacuum_state,
 )
 from hocov.dynamics import _sector_blocks
@@ -237,20 +236,6 @@ def test_large_norm_long_interval_against_dense_expm():
         assert np.abs(state.vector - direct).max() < 1e-10
 
 
-def test_dense_density_matrix_against_expm():
-    lay, h = trilinear_setup(dims=(3, 3, 5))
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=(lay.total_dim,) * 2) + 1j * rng.normal(size=(lay.total_dim,) * 2)
-    rho0 = g @ g.conj().T
-    rho0 /= np.trace(rho0).real
-    cfg = EvolutionConfig(xi_grid=(0.0, 0.3, 0.7), kappa=1.0, alpha_p=1.0)
-    states = evolve(QuantumState(lay, matrix=rho0), h, cfg)
-    dense = h.data.toarray()
-    for state, t in zip(states, cfg.times()):
-        u = expm(-1j * t * dense)
-        assert np.abs(state.matrix - u @ rho0 @ u.conj().T).max() < 1e-12
-
-
 def test_result_does_not_depend_on_grid():
     lay, h = trilinear_setup(dims=(8, 6, 11))
     pump = coherent_state(1.2, 8)
@@ -318,42 +303,6 @@ def test_time_reversal_recovers_initial_state():
     assert np.abs(back.vector - psi0.vector).max() < 1e-8
 
 
-def test_mixed_state_evolution_matches_branch_mixture():
-    lay, h = trilinear_setup(dims=(4, 4, 7))
-    ground_a = np.eye(4, dtype=complex)[:, 0]
-    ground_b = np.eye(7, dtype=complex)[:, 0]
-    rho_p = thermal_state(0.3, 4)
-    mixed0 = product_state(lay, rho_p, ground_a, ground_b)
-    cfg = EvolutionConfig(xi_grid=(0.0, 0.25), kappa=1.0, alpha_p=1.0)
-    rho_final = evolve(mixed0, h, cfg)[-1]
-    assert not rho_final.is_pure
-
-    manual = np.zeros((lay.total_dim, lay.total_dim), dtype=complex)
-    weights = np.diag(rho_p).real
-    for n, w in enumerate(weights):
-        if w < 1e-14:
-            continue
-        pump_vec = np.zeros(4, dtype=complex)
-        pump_vec[n] = 1.0
-        branch0 = product_state(lay, pump_vec, ground_a, ground_b)
-        branch = evolve(branch0, h, cfg)[-1]
-        manual += w * np.outer(branch.vector, branch.vector.conj())
-    assert np.abs(rho_final.matrix - manual).max() < 1e-9
-
-
-def test_truncation_guard_note_attached():
-    # deliberately starve mode A so the wavefunction piles up at the cutoff
-    lay = ModeLayout((8, 3, 5))
-    h = build_hamiltonian(InteractionSpec(lay, k=1, l=2))
-    pump = coherent_state(1.4, 8)
-    psi0 = product_state(
-        lay, pump, np.eye(3, dtype=complex)[:, 0], np.eye(5, dtype=complex)[:, 0]
-    )
-    cfg = EvolutionConfig(xi_grid=(0.0, 1.2), kappa=1.0, alpha_p=1.4)
-    final = evolve(psi0, h, cfg)[-1]
-    assert any("truncation guard" in note for note in final.notes)
-
-
 def test_evolution_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(xi_grid=(0.1, 0.2), kappa=1.0, alpha_p=1.0)
@@ -363,6 +312,14 @@ def test_evolution_config_validation():
         EvolutionConfig(xi_grid=(0.0, 0.2), kappa=-1.0, alpha_p=1.0)
     with pytest.raises(ValueError):
         EvolutionConfig(xi_grid=(0.0, 0.2), kappa=1.0, alpha_p=1.0, tol=0.0)
+
+
+def test_density_matrix_input_raises():
+    lay, h = trilinear_setup(dims=(3, 3, 5))
+    rho = vacuum_state(lay).density()
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
+    with pytest.raises(ValueError, match="density matrix"):
+        evolve(QuantumState(lay, matrix=rho), h, cfg)
 
 
 def test_layout_mismatch_raises():

@@ -235,9 +235,9 @@ def test_convergence_check_structure():
     assert xis == {0.0, 0.06}
 
 
-def test_convergence_check_dim_boost_override():
-    cfg = tiny_config()
-    report = convergence_check(cfg, stride=5, dim_boost=(1, 1, 1))
+def test_convergence_check_custom_step():
+    cfg = tiny_config(convergence_step=(1, 1, 1))
+    report = convergence_check(cfg, stride=5)
     assert report["boosted_dims"] == (13, 7, 12)
     # only xi=0 survives a stride this large, so the drift is numerical noise
     assert report["pass"]
