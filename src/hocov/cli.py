@@ -1,8 +1,9 @@
 """Command-line front end for sweeps, convergence checks, and series export.
 
-Exit codes: 0 clean completion, 2 usage error (argparse), 3 sweep finished
-but at least one grid point tripped the truncation guard, 4 convergence
-check exceeded its drift threshold.
+Exit codes: 0 clean completion, 2 usage error (argparse, or a config file,
+config value or stride refused before any work, reported as one ``error:``
+line), 3 sweep finished but at least one grid point tripped the truncation
+guard, 4 convergence check exceeded its drift threshold.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .sweep import (
 )
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_TRUNCATION = 3
 EXIT_DRIFT = 4
 
@@ -81,13 +83,19 @@ def _build_config(args) -> SweepConfig:
     return SweepConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_sweep(args) -> int:
-    config = _build_config(args)
+    try:
+        config = _build_config(args)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
     out = args.out or config.out
     if not out:
-        print("error: no output path (pass --out or set out= in the config)",
-              file=sys.stderr)
-        return 2
+        return _usage_error("no output path (pass --out or set out= in the config)")
     result = run_sweep(config, keep_states=False)
     write_csv(result, out)
     n_points = len(result.xi_grid)
@@ -100,7 +108,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = _build_config(args)
+    if args.stride < 1:
+        return _usage_error(f"--stride must be >= 1, got {args.stride}")
+    try:
+        config = _build_config(args)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
     report = convergence_check(config, stride=args.stride)
     verdict = "pass" if report["pass"] else "FAIL"
     print(f"convergence {verdict}: max |drift(nu_minus)| = "

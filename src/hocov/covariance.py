@@ -14,12 +14,13 @@ the ladder powers L = (A, A+, B, B+) with A = a^{nk} and B = b^{nl}. On the
 cutoff, a^m is the index shift |j> -> |j - m> with weight
 sqrt(j (j-1) ... (j-m+1)), and a+^m is its transpose, so a+^m drops the levels
 it would push to or past the cutoff and <A A+> is |A+ psi|^2, not
-<A+ A> + 2 <f_m>. Shifting the flat Fock indices of a pure state's nonzero
-amplitudes, or of a density matrix's rows, places every L_a on one sorted
-set of target indices, and the Gram matrix G_ab = <L_a psi|L_b psi> =
-tr(L_a+ L_b rho) is one product (pure state) or one gather (density matrix)
-over that set. Then <R_i R_j> = (T* G T^T)_ij with T the coefficients of R in
-L. The cost is linear in the support of a pure state.
+<A+ A> + 2 <f_m>. Shifting the flat Fock indices of a pure state's support
+(``QuantumState.support``, read with ``QuantumState.amplitudes``), or of a
+density matrix's rows, places every L_a on one sorted set of target
+indices, and the Gram matrix G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) is
+one product (pure state) or one gather (density matrix) over that set. Then
+<R_i R_j> = (T* G T^T)_ij with T the coefficients of R in L. The cost is
+linear in the support of a pure state, and no full-space array is formed.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
 
     First moments are subtracted (they vanish identically on down-conversion
     trajectories, but subtracting keeps the object well defined on any state).
-    The cost is linear in the number of nonzero amplitudes of a pure state,
-    or in the dimension for a density matrix; no operator is formed.
+    The cost is linear in the support of a pure state, or in the dimension
+    for a density matrix; no operator is formed.
     """
     if n < 1:
         raise ValueError("hierarchy index n must be >= 1")
@@ -191,7 +192,7 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
         src[b, at] = rows
         w[b, at] = weight
     if state.is_pure:
-        amp = state.vector[idx]
+        amp = state.amplitudes
         phi = w * amp[src]
         gram = phi.conj() @ phi.T
         pops = np.abs(amp) ** 2
@@ -335,17 +336,17 @@ def cokurtosis(state: QuantumState, x, y, z, w) -> float:
     Selectors are 'qA', 'pA', 'qB', 'pB' or explicit Hermitian operators.
     """
     ops = [_resolve_selector(s, state.layout) for s in (x, y, z, w)]
+    psi = state.vector
 
     def pair_sym(i, j):
         if state.is_pure:
-            val = complex(np.vdot(ops[i] @ state.vector, ops[j] @ state.vector))
+            val = complex(np.vdot(ops[i] @ psi, ops[j] @ psi))
         else:
             val = expectation(ops[i] @ ops[j], state)
         return val.real  # Re<AB> = <{A,B}>/2 for Hermitian A, B
 
     fourth = 0.0 + 0.0j
     if state.is_pure:
-        psi = state.vector
         for perm in permutations(range(4)):
             i, j, kk, ll = perm
             vec = ops[ll] @ psi

@@ -4,13 +4,18 @@ All multimode objects use a row-major basis over the mode order of the layout,
 i.e. for a three-mode layout (pump, A, B) the flat index of |n_p, n_a, n_b> is
 (n_p * dim_a + n_a) * dim_b + n_b, which is exactly the ordering produced by
 chained Kronecker products.
+
+A pure state is stored on its support only: the sorted flat indices it may
+occupy and its amplitudes there. The interaction keeps a trajectory on a
+few chains of the space (1,820 of 376,320 states on window.cfg), so nothing
+the sweep reads is a full-space vector; ``QuantumState.vector`` builds one on
+demand for the operator reference layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -85,60 +90,96 @@ class TruncatedOperator:
         return self.data @ other
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuantumState:
-    """Pure state vector or density matrix on a layout.
+    """Pure state or density matrix on a layout.
 
-    ``vector`` xor ``matrix`` is set. ``time`` records the physical time the
-    state was evolved to (0 for freshly constructed states).
+    A pure state is held sparse: ``support`` holds sorted flat Fock indices
+    and ``amplitudes`` the state's values there; every other amplitude is
+    zero. ``QuantumState(layout, vector=v)`` keeps the nonzero entries of a
+    dense vector, ``QuantumState.on_support`` takes the sparse form as it is,
+    and ``vector`` rebuilds the dense array on each access (for tests and
+    the operator layer; nothing on the sweep path reads it). A state that
+    ``evolve`` returns has the chains its trajectory reaches as ``support``,
+    a superset of its nonzero amplitudes. A density matrix is held as
+    ``matrix``, with every index as its support and no amplitudes. ``time``
+    records the physical time the state was evolved to (0 for freshly
+    constructed states). All arrays are read-only.
     """
 
     layout: ModeLayout
-    vector: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-    time: float = 0.0
+    support: np.ndarray
+    amplitudes: np.ndarray | None
+    matrix: np.ndarray | None
+    time: float
 
-    def __post_init__(self):
-        n = self.layout.total_dim
-        if (self.vector is None) == (self.matrix is None):
+    def __init__(self, layout: ModeLayout, vector=None, matrix=None, time: float = 0.0):
+        n = layout.total_dim
+        if (vector is None) == (matrix is None):
             raise ValueError("exactly one of vector/matrix must be given")
-        if self.vector is not None:
-            v = np.asarray(self.vector, dtype=complex).reshape(n)
-            v.flags.writeable = False
-            object.__setattr__(self, "vector", v)
+        if vector is not None:
+            v = np.asarray(vector, dtype=complex).reshape(n)
+            support = np.flatnonzero(v)
+            self._hold(layout, support, v[support], None, time)
         else:
-            m = np.asarray(self.matrix, dtype=complex)
+            m = np.asarray(matrix, dtype=complex)
             if m.shape != (n, n):
                 raise ValueError(f"density matrix shape {m.shape} != ({n},{n})")
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
+            self._hold(layout, np.arange(n), None, m, time)
+
+    @classmethod
+    def on_support(cls, layout: ModeLayout, support, amplitudes, time: float = 0.0) -> "QuantumState":
+        """Pure state with ``amplitudes`` at the strictly increasing flat Fock
+        indices ``support``; no full-space array is formed."""
+        idx = np.asarray(support).reshape(-1)
+        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if not np.issubdtype(idx.dtype, np.integer) or idx.shape != amp.shape:
+            raise ValueError("support must be integer indices, one per amplitude")
+        if idx.size and (idx[0] < 0 or idx[-1] >= layout.total_dim or np.any(idx[1:] <= idx[:-1])):
+            raise ValueError(f"support must increase strictly within [0, {layout.total_dim})")
+        state = object.__new__(cls)
+        state._hold(layout, idx, amp, None, time)
+        return state
+
+    def _hold(self, layout, support, amplitudes, matrix, time) -> None:
+        for arr in (support, amplitudes, matrix):
+            if arr is not None:
+                arr.flags.writeable = False
+        for name, value in (("layout", layout), ("support", support), ("amplitudes", amplitudes),
+                            ("matrix", matrix), ("time", float(time))):
+            object.__setattr__(self, name, value)
 
     @property
     def is_pure(self) -> bool:
-        return self.vector is not None
+        return self.matrix is None
 
-    @cached_property
-    def support(self) -> np.ndarray:
-        """Sorted flat Fock indices of a pure state's nonzero amplitudes, or
-        every index for a density matrix; found once per state."""
-        idx = np.flatnonzero(self.vector != 0) if self.is_pure else np.arange(self.layout.total_dim)
-        idx.flags.writeable = False
-        return idx
+    @property
+    def vector(self) -> np.ndarray | None:
+        """Dense read-only amplitudes of a pure state, built on each access;
+        None for a density matrix."""
+        if not self.is_pure:
+            return None
+        v = np.zeros(self.layout.total_dim, dtype=complex)
+        v[self.support] = self.amplitudes
+        v.flags.writeable = False
+        return v
 
     def norm(self) -> float:
         if self.is_pure:
-            return float(np.linalg.norm(self.vector))
+            return float(np.linalg.norm(self.amplitudes))
         return float(np.trace(self.matrix).real)
 
     def density(self) -> np.ndarray:
         if self.is_pure:
-            return np.outer(self.vector, self.vector.conj())
+            v = self.vector
+            return np.outer(v, v.conj())
         return self.matrix
 
     def populations(self) -> np.ndarray:
         """Joint Fock-level populations, shaped like the layout's dims."""
         if self.is_pure:
-            p = np.abs(self.vector) ** 2
+            p = np.zeros(self.layout.total_dim)
+            p[self.support] = np.abs(self.amplitudes) ** 2
         else:
             p = np.diag(self.matrix).real
         return p.reshape(self.layout.dims)
@@ -201,9 +242,11 @@ def coherent_state(alpha: complex, dim: int, allow_truncation: bool = False) -> 
         vec = np.zeros(dim, dtype=complex)
         vec[0] = 1.0
         return vec
-    logmag = n * np.log(abs(alpha)) - 0.5 * np.array([math.lgamma(k + 1) for k in n]) - nbar / 2
+    logmag = n * np.log(abs(alpha)) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+    # relative to the largest term, so a cutoff far below nbar cannot
+    # underflow every amplitude to 0
     phase = np.exp(1j * np.angle(alpha) * n)
-    vec = np.exp(logmag) * phase
+    vec = np.exp(logmag - logmag.max()) * phase
     vec /= np.linalg.norm(vec)
     return vec
 
@@ -232,9 +275,7 @@ def fock_state(occupations: tuple[int, ...], layout: ModeLayout) -> QuantumState
     idx = 0
     for n, d in zip(occupations, layout.dims):
         idx = idx * d + n
-    vec = np.zeros(layout.total_dim, dtype=complex)
-    vec[idx] = 1.0
-    return QuantumState(layout, vector=vec)
+    return QuantumState.on_support(layout, [idx], [1.0])
 
 
 def vacuum_state(layout: ModeLayout) -> QuantumState:
@@ -274,10 +315,8 @@ def top_level_population(state: QuantumState, levels: int = 2) -> dict[int, floa
     in any mode accumulate more than ~1e-6 population should not be trusted.
     """
     if state.is_pure:
-        # only the nonzero amplitudes carry population
-        idx = state.support
-        p = np.abs(state.vector[idx]) ** 2
-        occ = np.unravel_index(idx, state.layout.dims)
+        p = np.abs(state.amplitudes) ** 2
+        occ = np.unravel_index(state.support, state.layout.dims)
         return {mode: float(p[occ[mode] >= dim - levels].sum())
                 for mode, dim in enumerate(state.layout.dims)}
     pops = state.populations()

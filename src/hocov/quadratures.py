@@ -176,7 +176,8 @@ def expectation(op, state: QuantumState) -> complex:
     """<op> on a pure or mixed state. Accepts TruncatedOperator or sparse/ndarray."""
     mat = op.data if isinstance(op, TruncatedOperator) else op
     if state.is_pure:
-        return complex(np.vdot(state.vector, mat @ state.vector))
+        psi = state.vector
+        return complex(np.vdot(psi, mat @ psi))
     prod = mat @ state.matrix
     if sparse.issparse(prod):
         return complex(prod.diagonal().sum())
@@ -192,11 +193,12 @@ def symmetrized_covariance(op1, op2, state: QuantumState) -> float:
     m1 = op1.data if isinstance(op1, TruncatedOperator) else op1
     m2 = op2.data if isinstance(op2, TruncatedOperator) else op2
     if state.is_pure:
-        w1 = m1 @ state.vector
-        w2 = m2 @ state.vector
+        psi = state.vector
+        w1 = m1 @ psi
+        w2 = m2 @ psi
         m12 = complex(np.vdot(w1, w2))  # <op1 op2> using hermiticity of op1
-        e1 = complex(np.vdot(state.vector, w1))
-        e2 = complex(np.vdot(state.vector, w2))
+        e1 = complex(np.vdot(psi, w1))
+        e2 = complex(np.vdot(psi, w2))
     else:
         m12 = expectation(m1 @ m2, state)
         e1 = expectation(m1, state)

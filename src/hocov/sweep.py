@@ -21,7 +21,6 @@ from .fock import (
     ModeLayout,
     QuantumState,
     coherent_state,
-    product_state,
     top_level_population,
 )
 from .quadratures import MAX_ORDER, UnsupportedOrderError
@@ -43,8 +42,12 @@ class SweepConfig:
     dims orders the truncation as (pump, A, B). xi runs from 0 to xi_max in
     steps of xi_step; hierarchy lists the n values evaluated at each point.
     with_nz adds the product-of-variances comparator (k=1, l=2 only).
-    Orders the hierarchy cannot evaluate (above the f_m table, or not below
-    the mode cutoff) fail here, before any evolution.
+    Every value is checked here, before any evolution, with a message that
+    names its key: dims (three cutoffs >= 2), k and l (integers >= 1, not
+    both 1), kappa, alpha_p and tol (positive), the xi grid, hierarchy
+    (positive, no level twice), convergence_step (three nonnegative
+    increments), and the orders the hierarchy needs (within the f_m table
+    and below each mode's cutoff).
     """
 
     k: int = 1
@@ -61,12 +64,26 @@ class SweepConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.xi_step <= 0 or self.xi_max < 0:
-            raise ValueError("xi grid must have positive step and nonnegative extent")
-        if not self.hierarchy or any(n < 1 for n in self.hierarchy):
-            raise ValueError("hierarchy levels must be positive integers")
         if len(self.dims) != 3:
             raise ValueError("dims must name (pump, A, B) truncations")
+        # k and l integers >= 1, kappa > 0 and every dim >= 2
+        InteractionSpec(ModeLayout(tuple(self.dims)), self.k, self.l, self.kappa)
+        if self.k + self.l < 3:
+            raise ValueError("k = l = 1 is the Gaussian classical-pump process; "
+                             "the trilinear sweep needs k + l >= 3")
+        for name in ("alpha_p", "tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.xi_step <= 0 or self.xi_max < 0:
+            raise ValueError("xi_step must be positive and xi_max nonnegative, got "
+                             f"xi_step={self.xi_step!r}, xi_max={self.xi_max!r}")
+        if not self.hierarchy or any(n < 1 for n in self.hierarchy):
+            raise ValueError("hierarchy levels must be positive integers")
+        if len(set(self.hierarchy)) != len(self.hierarchy):
+            raise ValueError(f"hierarchy lists a level twice: {tuple(self.hierarchy)}")
+        if len(self.convergence_step) != 3 or any(s < 0 for s in self.convergence_step):
+            raise ValueError("convergence_step must be three nonnegative (pump, A, B) "
+                             f"increments, got {tuple(self.convergence_step)}")
         if self.with_nz and (self.k, self.l) != (1, 2):
             raise ValueError("the variance-product comparator is defined for k=1, l=2")
         top = max(self.hierarchy)
@@ -180,13 +197,13 @@ class SweepResult:
 
 
 def _initial_state(config: SweepConfig, layout: ModeLayout) -> QuantumState:
+    """Coherent pump with vacuum signal and idler: the pump's n_p amplitude
+    sits at flat index n_p d_A d_B, and no other index is stored."""
     pump = coherent_state(config.alpha_p, layout.dims[layout.pump],
                           allow_truncation=True)
-    ground_a = np.zeros(layout.dims[layout.mode_a], dtype=complex)
-    ground_a[0] = 1.0
-    ground_b = np.zeros(layout.dims[layout.mode_b], dtype=complex)
-    ground_b[0] = 1.0
-    return product_state(layout, pump, ground_a, ground_b)
+    n_p = np.flatnonzero(pump)
+    stride = layout.dims[layout.mode_a] * layout.dims[layout.mode_b]
+    return QuantumState.on_support(layout, n_p * stride, pump[n_p])
 
 
 def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:

@@ -24,6 +24,7 @@ from hocov import (
     nonlinear_quadratures,
     product_state,
     standard_form,
+    top_level_population,
     vacuum_state,
 )
 
@@ -182,6 +183,24 @@ def test_density_and_pure_gram_branches_agree():
                 assert np.abs(cov_p.first_moments - cov_m.first_moments).max() < 1e-12 * scale
                 assert cov_p.f_ka == pytest.approx(cov_m.f_ka, rel=1e-12)
                 assert cov_p.f_lb == pytest.approx(cov_m.f_lb, rel=1e-12)
+
+
+@pytest.mark.parametrize("k,l,dims", [(1, 2, (7, 8, 14)), (1, 3, (6, 5, 13)), (2, 1, (6, 9, 6))])
+def test_evolved_state_reads_like_its_dense_vector(k, l, dims):
+    # an evolved state holds its chains only; rebuilt from the dense vector
+    # it must give the same moments and top-level weights
+    state = spdc_state(xi=0.4, dims=dims, k=k, l=l, alpha=1.1)
+    dense = QuantumState(state.layout, vector=state.vector)
+    top, top_dense = top_level_population(state), top_level_population(dense)
+    for mode in range(3):
+        assert top[mode] == pytest.approx(top_dense[mode], abs=1e-12)
+    for n in (1, 2, 3):
+        cov, ref = build_covariance(state, n, k, l), build_covariance(dense, n, k, l)
+        scale = max(1.0, np.abs(ref.matrix).max())
+        assert np.abs(cov.matrix - ref.matrix).max() < 1e-12 * scale
+        assert np.abs(cov.first_moments - ref.first_moments).max() < 1e-12 * scale
+        assert cov.f_ka == pytest.approx(ref.f_ka, rel=1e-12)
+        assert cov.f_lb == pytest.approx(ref.f_lb, rel=1e-12)
 
 
 def test_invariants_on_tmsv_and_vacuum():

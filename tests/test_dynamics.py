@@ -138,6 +138,26 @@ def test_support_walk_on_the_interaction():
     assert sorted(len(idx) for idx, _, _ in blocks) == sorted(min(n0, 5) + 1 for n0 in range(7))
 
 
+@pytest.mark.parametrize("k,l,dims", [(1, 2, (7, 6, 11)), (1, 3, (6, 4, 12)), (2, 1, (6, 9, 5))])
+def test_evolved_states_hold_their_chains_only(k, l, dims):
+    lay, h = trilinear_setup(dims=dims, k=k, l=l)
+    pump = coherent_state(1.1, dims[0], allow_truncation=True)
+    psi0 = product_state(lay, pump, np.eye(dims[1], dtype=complex)[:, 0],
+                         np.eye(dims[2], dtype=complex)[:, 0])
+    # chain |n0 - j, k j, l j> for j <= min(n0, (d_A - 1) // k, (d_B - 1) // l)
+    last = [min(n0, (dims[1] - 1) // k, (dims[2] - 1) // l) for n0 in range(dims[0])]
+    chains = sorted(((n0 - j) * dims[1] + k * j) * dims[2] + l * j
+                    for n0 in range(dims[0]) for j in range(last[n0] + 1))
+    assert len(chains) == sum(j + 1 for j in last) < lay.total_dim
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.2, 0.5), kappa=1.0, alpha_p=1.1)
+    for state in evolve(psi0, h, cfg):
+        assert state.support.size == state.amplitudes.size == len(chains)
+        assert np.array_equal(state.support, chains)
+        off = np.ones(lay.total_dim, dtype=bool)
+        off[state.support] = False
+        assert not state.vector[off].any()
+
+
 def test_builder_validation():
     lay3 = ModeLayout((4, 4, 4))
     with pytest.raises(ValueError):

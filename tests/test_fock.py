@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_coherent_state_poisson_populations():
     assert np.abs(resid[: dim - 5]).max() < 1e-9
 
 
+def test_coherent_state_far_below_its_mean_stays_finite():
+    # every term of |50> below n = 20 is under exp(-1250) relative to the mean,
+    # so unscaled weights underflow to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = coherent_state(50.0, 20, allow_truncation=True)
+    assert np.isfinite(vec).all()
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(vec[1:] / vec[:-1], 50.0 / np.sqrt(np.arange(1, 20)), rtol=1e-12, atol=0)
+
+
 def test_coherent_state_truncation_guard():
     with pytest.raises(TruncationError):
         coherent_state(4.0, 20)
@@ -181,9 +193,32 @@ def test_state_arrays_are_frozen():
     lay = ModeLayout((2, 2))
     vec = np.zeros(4, dtype=complex)
     vec[0] = 1.0
-    state = QuantumState(lay, vector=vec)
-    with pytest.raises(ValueError):
-        state.vector[0] = 0.0
+    idx, amp = np.array([0, 3]), np.array([0.6, 0.8j])
+    for state in (QuantumState(lay, vector=vec), QuantumState.on_support(lay, idx, amp)):
+        for arr in (state.vector, state.support, state.amplitudes):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # the caller's arrays are not frozen with them
+    vec[1] = idx[1] = amp[1] = 0
+
+
+def test_on_support_matches_the_dense_form():
+    lay = ModeLayout((3, 4, 5))
+    idx = np.array([2, 17, 18, 59])
+    amp = np.array([0.5, -0.5j, 0.5, 0.5j])
+    state = QuantumState.on_support(lay, idx, amp, time=0.25)
+    dense = QuantumState(lay, vector=state.vector)
+    assert state.is_pure and state.time == 0.25
+    assert np.array_equal(dense.support, idx) and np.array_equal(dense.amplitudes, amp)
+    assert np.count_nonzero(state.vector) == 4
+    assert state.norm() == pytest.approx(1.0)
+    assert np.array_equal(state.populations(), dense.populations())
+    # QuantumState(vector=...) keeps only the nonzero amplitudes
+    assert np.array_equal(fock_state((1, 2, 3), lay).support, [1 * 20 + 2 * 5 + 3])
+    for bad_idx, bad_amp in (([17, 2], [1, 0]), ([2, 2], [1, 0]), ([0, 60], [1, 0]),
+                             ([-1, 3], [1, 0]), ([0, 3], [1.0]), ([0.0, 3.0], [1, 0])):
+        with pytest.raises(ValueError):
+            QuantumState.on_support(lay, np.array(bad_idx), bad_amp)
 
 
 def test_top_level_population():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,41 @@ def test_config_validation():
         tiny_config(l=3, with_nz=True)
 
 
+@pytest.mark.parametrize("bad,match", [
+    (dict(kappa=0.0), "kappa must be positive"),
+    (dict(kappa=float("nan")), "kappa must be positive"),
+    (dict(alpha_p=-5.0), "alpha_p must be positive"),
+    (dict(tol=0.0), "tol must be positive"),
+    (dict(k=0), "k must be an integer >= 1"),
+    (dict(k=1, l=1, hierarchy=(1,)), r"k \+ l >= 3"),
+    (dict(hierarchy=(1, 1)), "hierarchy lists a level twice"),
+    (dict(convergence_step=(4, -1, 16)), "convergence_step must be three nonnegative"),
+])
+def test_config_refuses_each_bad_key(bad, match):
+    with pytest.raises(ValueError, match=match):
+        tiny_config(**bad)
+
+
+@pytest.mark.parametrize("command", ["sweep", "check"])
+def test_cli_reports_a_refused_config_as_usage_error(tmp_path, capsys, command):
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg", kappa=0.0)
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kappa must be positive")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_reports_a_missing_config_and_a_bad_stride(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path / "missing.cfg"),
+                 "--out", str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg")
+    assert main(["check", "--config", cfg_path, "--stride", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --stride must be >= 1")
+
+
 def test_unsupported_order_fails_before_evolution():
     # n=5 with l=2 needs Q^10 on mode B; the f_m table stops at m=9
     with pytest.raises(UnsupportedOrderError, match=r"n=5 .*order 10"):
@@ -276,6 +313,27 @@ def test_catastrophic_truncation_raises():
                       hierarchy=(1, 2))
     with pytest.raises(NumericalConsistencyError):
         run_sweep(cfg)
+
+
+def test_pump_cutoff_far_below_its_mean_fails_the_cross_check():
+    # |alpha_p|^2 = 2500 on 20 pump levels: the pump is still a finite unit
+    # vector, and the corrupted moments trip the sign cross-check
+    from hocov import NumericalConsistencyError
+
+    with pytest.raises(NumericalConsistencyError):
+        run_sweep(tiny_config(alpha_p=50.0, dims=(20, 6, 11)))
+
+
+def test_kept_states_hold_no_full_space_array():
+    cfg = tiny_config()
+    n = math.prod(cfg.dims)
+    result = run_sweep(cfg, keep_states=True)
+    assert len(result.states) == len(cfg.xi_grid())
+    for state in result.states:
+        held = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+        held += [a.base for a in held if a.base is not None]
+        assert held
+        assert all(n not in a.shape for a in held)
 
 
 def test_check_base_sweep_matches_full_grid(monkeypatch):
