@@ -1,9 +1,11 @@
 """Command-line front end for sweeps, convergence checks, and series export.
 
-Exit codes: 0 clean completion, 2 usage error (argparse, or a config file,
-config value or stride refused before any work, reported as one ``error:``
-line), 3 sweep finished but at least one grid point tripped the truncation
-guard, 4 convergence check exceeded its drift threshold.
+Exit codes: 0 clean completion, 2 usage error (argparse; a config file,
+config value, stride or convergence boost refused before any work; or a
+plotdata input file that is missing or malformed, or an unknown series
+selector; each reported as one ``error:`` line), 3 sweep finished but at
+least one grid point tripped the truncation guard, 4 convergence check
+exceeded its drift threshold.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import sys
 from .sweep import (
     SweepConfig,
     _atomic_write,
+    _convergence_configs,
     config_from_file,
     convergence_check,
     emit_plot_data,
     read_csv,
     run_sweep,
+    series_fields,
     write_csv,
 )
 
@@ -112,6 +116,7 @@ def _cmd_check(args) -> int:
         return _usage_error(f"--stride must be >= 1, got {args.stride}")
     try:
         config = _build_config(args)
+        _convergence_configs(config, args.stride)  # a check that could not fail
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
     report = convergence_check(config, stride=args.stride)
@@ -130,8 +135,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    rows = read_csv(args.infile)
     series = tuple(s for s in args.series.split(",") if s)
+    try:
+        series_fields(series)
+        rows = read_csv(args.infile)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
     emit_plot_data(rows, args.out, series=series)
     print(f"wrote {args.out}: columns xi, {', '.join(series)}")
     return EXIT_OK

@@ -9,13 +9,17 @@ xi = kappa * t * alpha_p, so grid times are t_j = xi_j / (kappa * alpha_p).
 
 a+^k b+^l p moves the flat Fock index r = (n_p d_A + n_a) d_B + n_b by
 -(d_A d_B - k d_B - l), so H is two masked diagonals at that offset and its
-negative. The builders write those CSR arrays straight from the ladder
+negative. The builders write those CSR arrays row by row from the ladder
 weights by index arithmetic; the classical pump is the same two bands with
 the shifts (1, 1).
 
 H conserves k N_P + N_A and l N_A - k N_B, so its sparsity graph splits into
 disjoint blocks: from |n0>_P |0,0> a state only ever visits the chain
-|n0 - j, k j, l j>. Evolution is for pure states (a coherent pump and vacuum
+|n0 - j, k j, l j>. H is the direct sum of its charge blocks H_q on
+l N_A - k N_B = q, and ``build_hamiltonian(spec, charge=q)`` writes the rows
+of H_q only; the sweep starts in sector 0 and builds H_0 (6,490 of H's
+713,900 nonzeros on window.cfg). H_q leaves a state outside sector q frozen,
+without an error. Evolution is for pure states (a coherent pump and vacuum
 signal and idler stay pure): it walks the graph from the state's support,
 labelling the blocks it reaches as it goes, and diagonalizes each block once.
 It projects the initial amplitudes onto each block once and forms every grid
@@ -87,50 +91,74 @@ def _shift_weights(dim: int, m: int) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float) -> sparse.csr_matrix:
-    """CSR matrix of i*coupling*(U - U+), where U moves |n> to |n + shifts>.
+def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float,
+              rows: np.ndarray | None = None) -> sparse.csr_matrix:
+    """CSR matrix of i*coupling*(U - U+) on ``rows`` (all rows when None).
 
-    U is a product of one truncated ladder power per mode, so it is the flat
-    index shift r -> r + t, t = sum(shifts * strides), with source weights
-    c[r] that are an outer product of the modes' weights. H is then two
-    masked diagonals: row i holds H[i, i - s] and H[i, i + s] = conj(H[i + s, i])
-    with s = |t|, and no stored zeros. The arrays are written straight from
-    the masks, with no operator product.
+    U moves |n> to |n + shifts>, one truncated ladder power per mode, so it
+    is the flat index shift r -> r + t, t = sum(shifts * strides), with a
+    source weight c(r) that is the product of the modes' weights. Row i then
+    holds i g a(i) at column i - t and -i g c(i) at column i + t, where
+    a(i) = c(i - t) is the weight arriving at i; an entry whose weight is 0
+    is not stored. Each weight is read off i's mode digits, in the product
+    order (w_0 w_1) w_2, and only the given rows are written: the other rows
+    of the (n, n) matrix are empty.
     """
     dims = layout.dims
-    c = _shift_weights(dims[0], shifts[0])
-    for dim, m in zip(dims[1:], shifts[1:]):
-        c = np.multiply.outer(c, _shift_weights(dim, m))
+    n = math.prod(dims)
     t = sum(m * math.prod(dims[i + 1:]) for i, m in enumerate(shifts))
-    n, s = c.size, abs(t)
-    # H[r + t, r] = i g c[r] and H[r, r + t] = -i g c[r], so row i holds
-    # i g low[i] at column i - s and -i g low[i + s] at column i + s
-    low = np.zeros(n)
-    low[s:] = c.ravel()[:n - s] if t > 0 else -c.ravel()[s:]
-    del c  # freed before the output arrays are allocated
-    has_low = low != 0
-    has_high = np.zeros(n, dtype=bool)
-    has_high[:n - s] = has_low[s:]
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    leave = arrive = None
+    for dim, m, digit in zip(dims, shifts, np.unravel_index(rows, dims)):
+        w = _shift_weights(dim, m)
+        # the weight arriving at digit d left digit d - m
+        v = np.zeros(dim)
+        v[max(m, 0):dim + min(m, 0)] = w[max(-m, 0):dim - max(m, 0)]
+        leave = w[digit] if leave is None else leave * w[digit]
+        arrive = v[digit] if arrive is None else arrive * v[digit]
+    # columns i - |t| before i + |t| in each row
+    low, high = (arrive, -leave) if t > 0 else (-leave, arrive)
+    has_low, has_high = low != 0, high != 0
     # the index dtype scipy would pick, so the arrays are not copied
     itype = np.int32 if 2 * n < 2**31 else np.int64
     indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(has_low.astype(itype) + has_high, out=indptr[1:])
+    indptr[rows + 1] = has_low.astype(itype) + has_high
+    np.cumsum(indptr, out=indptr)
     # H is purely imaginary: only the imaginary parts are written
     data = np.zeros(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=itype)
-    rows = np.flatnonzero(has_low)
-    at = indptr[rows]
-    data.imag[at] = coupling * low[rows]
-    indices[at] = rows - s
-    rows = np.flatnonzero(has_high)
-    at = indptr[rows + 1] - 1
-    data.imag[at] = -coupling * low[rows + s]
-    indices[at] = rows + s
+    s = abs(t)
+    at = indptr[rows[has_low]]
+    data.imag[at] = coupling * low[has_low]
+    indices[at] = rows[has_low] - s
+    at = indptr[rows[has_high] + 1] - 1
+    data.imag[at] = coupling * high[has_high]
+    indices[at] = rows[has_high] + s
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def build_hamiltonian(spec: InteractionSpec) -> TruncatedOperator:
-    """Sparse trilinear Hamiltonian i*kappa*(a+^k b+^l p - h.c.) on a 3-mode layout."""
+def _charge_rows(layout: ModeLayout, k: int, l: int, charge: int) -> np.ndarray:
+    """Sorted flat indices of the (pump, A, B) states with l N_A - k N_B = charge."""
+    dim_p, dim_a, dim_b = layout.dims
+    n_a = np.arange(dim_a)
+    n_b, rem = np.divmod(l * n_a - charge, k)
+    keep = (rem == 0) & (n_b >= 0) & (n_b < dim_b)
+    # n_b is fixed by n_a, so the indices rise with (n_p, n_a)
+    pair = n_a[keep] * dim_b + n_b[keep]
+    return (np.arange(dim_p)[:, None] * (dim_a * dim_b) + pair).ravel()
+
+
+def build_hamiltonian(spec: InteractionSpec, charge: int | None = None) -> TruncatedOperator:
+    """Sparse trilinear Hamiltonian i*kappa*(a+^k b+^l p - h.c.) on a 3-mode layout.
+
+    H conserves l N_A - k N_B, so H is the direct sum of its blocks H_q on
+    l N_A - k N_B = q. With ``charge=q`` only H_q is stored: the rows of the
+    other sectors are empty, the shape stays (n, n), and H_q evolves any
+    state in sector q exactly. A state outside sector q sees H = 0 there and
+    is frozen, with no error, so the caller must know its charge; the
+    sweep's initial state (pump times vacuum A and B) is in sector 0.
+    ``charge=None`` stores the full H.
+    """
     layout = spec.layout
     if layout.nmodes != 3:
         raise ValueError("trilinear interaction needs a (pump, A, B) layout")
@@ -144,7 +172,13 @@ def build_hamiltonian(spec: InteractionSpec) -> TruncatedOperator:
         raise ValueError(f"k={spec.k} exceeds mode-A cutoff {dim_a}")
     if spec.l >= dim_b:
         raise ValueError(f"l={spec.l} exceeds mode-B cutoff {dim_b}")
-    h = _two_band(layout, (-1, spec.k, spec.l), spec.kappa)
+    if charge is None:
+        rows = None
+    elif isinstance(charge, (int, np.integer)) and not isinstance(charge, bool):
+        rows = _charge_rows(layout, spec.k, spec.l, int(charge))
+    else:
+        raise ValueError(f"charge must be an integer or None, got {charge!r}")
+    h = _two_band(layout, (-1, spec.k, spec.l), spec.kappa, rows)
     return TruncatedOperator(layout, h, hermitian=True)
 
 
@@ -252,7 +286,10 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
 
     ``hamiltonian`` may be any Hermitian operator on the state's layout. A
     density matrix is refused before any work: the interaction keeps a pure
-    initial state pure. The returned states share one support, the sorted
+    initial state pure. Amplitude on a row that ``hamiltonian`` leaves empty
+    does not move, so a charge block H_q from ``build_hamiltonian(spec,
+    charge=q)`` freezes any part of the state outside sector q, with no
+    error; pass H_q only for a state in sector q. The returned states share one support, the sorted
     indices of the blocks the walk reached, and hold amplitudes there only.
     A norm drift beyond NORM_TOL raises IntegratorError; whether the
     truncation is adequate is the sweep's call.

@@ -214,7 +214,8 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
     """
     layout = ModeLayout(tuple(config.dims))
     spec = InteractionSpec(layout, config.k, config.l, config.kappa)
-    hamiltonian = build_hamiltonian(spec)
+    # pump times vacuum A and B lies in sector l N_A - k N_B = 0, and H keeps it there
+    hamiltonian = build_hamiltonian(spec, charge=0)
     grid = config.xi_grid()
     evo = EvolutionConfig(
         xi_grid=grid,
@@ -315,64 +316,110 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 
 def read_csv(path: str) -> list[SweepRow]:
-    """Load rows written by write_csv (header lines are skipped)."""
+    """Load rows written by write_csv (header lines are skipped).
+
+    A row that does not parse raises ValueError naming path:line.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("n,"):
                 continue
             parts = line.split(",")
+            where = f"{path}:{lineno}: malformed sweep row {line!r}"
             if len(parts) != 15:
-                raise ValueError(f"malformed sweep row: {line!r}")
-            rows.append(SweepRow(
-                n=int(parts[0]), k=int(parts[1]), l=int(parts[2]),
-                xi=float(parts[3]), nu_minus=float(parts[4]),
-                ineq7=float(parts[5]), ineq8=float(parts[6]),
-                lemma1=float(parts[7]), det_c=float(parts[8]),
-                nz=float(parts[9]) if parts[9] else None,
-                verdict=parts[10], truncation_flag=parts[11],
-                pop_pump=float(parts[12]), pop_a=float(parts[13]),
-                pop_b=float(parts[14]),
-            ))
+                raise ValueError(f"{where}: expected 15 fields, got {len(parts)}")
+            try:
+                rows.append(SweepRow(
+                    n=int(parts[0]), k=int(parts[1]), l=int(parts[2]),
+                    xi=float(parts[3]), nu_minus=float(parts[4]),
+                    ineq7=float(parts[5]), ineq8=float(parts[6]),
+                    lemma1=float(parts[7]), det_c=float(parts[8]),
+                    nz=float(parts[9]) if parts[9] else None,
+                    verdict=parts[10], truncation_flag=parts[11],
+                    pop_pump=float(parts[12]), pop_a=float(parts[13]),
+                    pop_b=float(parts[14]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
     return rows
+
+
+_SERIES_FIELDS = {"nu": "nu_minus", "ineq7": "ineq7", "ineq8": "ineq8",
+                  "lemma1": "lemma1", "detc": "det_c"}
+
+
+def series_fields(series) -> list[tuple[str, int | None]]:
+    """(SweepRow field, hierarchy level) for each plot selector, nz as
+    ("nz", None); an unknown selector raises ValueError naming it."""
+    out = []
+    for selector in series:
+        sel = selector.lower()
+        if sel == "nz":
+            out.append(("nz", None))
+            continue
+        name, _, n_str = (("nu", "", sel[2:]) if sel.startswith("nu")
+                          else sel.partition("_"))
+        if name not in _SERIES_FIELDS or not n_str.isdigit():
+            raise ValueError(f"unknown series selector {selector!r}")
+        out.append((_SERIES_FIELDS[name], int(n_str)))
+    return out
 
 
 def emit_plot_data(rows, path: str, series: tuple = ("nu1", "nu2", "nu3")) -> None:
     """Extract xi-indexed series into a tab-separated file.
 
-    Selectors: nu<n>, ineq7_<n>, ineq8_<n>, lemma1_<n>, detc_<n>, nz.
+    Selectors: nu<n>, ineq7_<n>, ineq8_<n>, lemma1_<n>, detc_<n>, nz; they
+    are checked before anything is written.
     Missing values render as 'nan' so column alignment survives.
     """
+    picks = series_fields(series)
     by_xi: dict = {}
     for row in rows:
         by_xi.setdefault(row.xi, {})[row.n] = row
 
-    def pick(point: dict, selector: str) -> float:
-        sel = selector.lower()
-        if sel == "nz":
+    def pick(point: dict, field: str, n: int | None) -> float:
+        if field == "nz":
             for row in point.values():
                 if row.nz is not None:
                     return row.nz
             return float("nan")
-        if sel.startswith("nu"):
-            field, n_str = "nu_minus", sel[2:]
-        else:
-            field, _, n_str = sel.partition("_")
-            field = {"ineq7": "ineq7", "ineq8": "ineq8",
-                     "lemma1": "lemma1", "detc": "det_c"}.get(field, "")
-        if not field or not n_str.isdigit():
-            raise ValueError(f"unknown series selector {selector!r}")
-        row = point.get(int(n_str))
+        row = point.get(n)
         return getattr(row, field) if row is not None else float("nan")
 
     lines = ["# xi\t" + "\t".join(series)]
     for xi in sorted(by_xi):
-        values = [pick(by_xi[xi], sel) for sel in series]
+        values = [pick(by_xi[xi], field, n) for field, n in picks]
         lines.append("\t".join([_fmt(xi)] + [
             _fmt(v) if v == v else "nan" for v in values
         ]))
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _convergence_configs(config: SweepConfig, stride: int) -> tuple[SweepConfig, SweepConfig]:
+    """The base and boosted sweeps of convergence_check.
+
+    A check that could not fail is refused with ValueError: convergence_step
+    = 0, 0, 0 (the boosted run is the base run) or a stride that leaves only
+    xi = 0.
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if not any(config.convergence_step):
+        raise ValueError("convergence_step = 0, 0, 0 boosts no cutoff, so the check "
+                         "would compare the sweep with itself")
+    grid = config.xi_grid()
+    if stride >= len(grid):
+        raise ValueError(f"stride={stride} leaves only xi=0 of the {len(grid)}-point "
+                         f"grid; it must be below {len(grid)}")
+    base_cfg = replace(config, with_nz=False,
+                       xi_step=config.xi_step * stride, xi_max=grid[::stride][-1])
+    boosted_cfg = replace(
+        base_cfg,
+        dims=tuple(d + b for d, b in zip(config.dims, config.convergence_step)),
+    )
+    return base_cfg, boosted_cfg
 
 
 def convergence_check(config: SweepConfig, stride: int = 5) -> dict:
@@ -383,18 +430,11 @@ def convergence_check(config: SweepConfig, stride: int = 5) -> dict:
     largest |drift| of nu_minus across grid points and hierarchy levels.
     Evolution is exact within each charge sector, so the coarser check grid
     reproduces the full grid's values at the shared points and enlarging the
-    truncation is the only error axis left.
+    truncation is the only error axis left. A check that could not fail
+    (convergence_step = 0, 0, 0, or a stride that leaves only xi = 0) is
+    refused with ValueError before any sweep runs.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    subgrid = config.xi_grid()[::stride]
-    sub_max = subgrid[-1]
-    base_cfg = replace(config, with_nz=False,
-                       xi_step=config.xi_step * stride, xi_max=sub_max)
-    boosted_cfg = replace(
-        base_cfg,
-        dims=tuple(d + b for d, b in zip(config.dims, config.convergence_step)),
-    )
+    base_cfg, boosted_cfg = _convergence_configs(config, stride)
     base = run_sweep(base_cfg, keep_states=False)
     boosted = run_sweep(boosted_cfg, keep_states=False)
 

@@ -77,6 +77,74 @@ def test_classical_pump_matches_kronecker_construction(dims):
                          kronecker_hamiltonian(spec, alpha_p=2.5))
 
 
+def fock_charges(lay, k, l):
+    """l N_A - k N_B of every flat Fock index, and the pump, A and B digits."""
+    n_p, n_a, n_b = np.unravel_index(np.arange(lay.total_dim), lay.dims)
+    return l * n_a - k * n_b, n_p, n_a, n_b
+
+
+@pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 1), (2, 3)])
+@pytest.mark.parametrize("dims", [(5, 7, 8), (6, 4, 12), (9, 11, 13), (2, 4, 4)])
+def test_charge_blocks_sum_to_the_full_hamiltonian(k, l, dims):
+    lay = ModeLayout(dims)
+    spec = InteractionSpec(lay, k=k, l=l, kappa=1.7)
+    full = build_hamiltonian(spec).data
+    charges, n_p, n_a, n_b = fock_charges(lay, k, l)
+    # a raising event needs a pump photon and room in A and B; a lowering
+    # event room in the pump and k photons in A, l in B
+    ups = (n_p >= 1) & (n_a + k < dims[1]) & (n_b + l < dims[2])
+    downs = (n_p + 1 < dims[0]) & (n_a >= k) & (n_b >= l)
+    total = sparse.csr_matrix(full.shape, dtype=complex)
+    for q in np.unique(charges):
+        block = build_hamiltonian(spec, charge=q).data
+        assert block.shape == full.shape
+        rows = np.repeat(np.arange(full.shape[0]), np.diff(block.indptr))
+        assert np.all(charges[rows] == q)
+        assert np.all(charges[block.indices] == q)
+        in_q = charges == q
+        assert block.nnz == np.count_nonzero(ups & in_q) + np.count_nonzero(downs & in_q)
+        total = total + block
+    assert np.array_equal(total.indptr, full.indptr)
+    assert np.array_equal(total.indices, full.indices)
+    assert np.array_equal(total.data, full.data)
+
+
+def test_charge_block_must_be_an_integer():
+    spec = InteractionSpec(ModeLayout((4, 4, 8)), k=1, l=2)
+    for bad in (0.5, "0", True):
+        with pytest.raises(ValueError, match="charge"):
+            build_hamiltonian(spec, charge=bad)
+    # a charge no state carries leaves H_q empty
+    assert build_hamiltonian(spec, charge=100).data.nnz == 0
+
+
+@pytest.mark.parametrize("k,l,dims", [(1, 2, (7, 6, 11)), (1, 3, (6, 4, 12)), (2, 1, (6, 9, 5))])
+def test_charge_block_evolves_its_sector_like_the_full_hamiltonian(k, l, dims):
+    from hocov.sweep import SweepConfig, _initial_state
+
+    lay = ModeLayout(dims)
+    spec = InteractionSpec(lay, k=k, l=l)
+    full = build_hamiltonian(spec)
+    charges = fock_charges(lay, k, l)[0]
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.2, 0.5), kappa=1.0, alpha_p=1.1)
+    # the sweep's initial state lies in sector 0
+    psi0 = _initial_state(SweepConfig(k=k, l=l, alpha_p=1.1, dims=dims, hierarchy=(1,)), lay)
+    assert np.all(charges[psi0.support] == 0)
+    # one A photon and no B photon: sector l
+    pump = coherent_state(1.1, dims[0], allow_truncation=True)
+    psi_l = product_state(lay, pump, np.eye(dims[1], dtype=complex)[:, 1],
+                          np.eye(dims[2], dtype=complex)[:, 0])
+    assert np.all(charges[psi_l.support] == l)
+    for psi, q in ((psi0, 0), (psi_l, l)):
+        block = build_hamiltonian(spec, charge=q)
+        for j, (a, b) in enumerate(zip(evolve(psi, block, cfg), evolve(psi, full, cfg))):
+            assert np.abs(a.vector - b.vector).max() < 1e-12
+            assert j == 0 or np.abs(a.vector - psi.vector).max() > 1e-3
+    # H_0 leaves the sector-l state where it was
+    for state in evolve(psi_l, build_hamiltonian(spec, charge=0), cfg):
+        assert np.array_equal(state.vector, psi_l.vector)
+
+
 def planted_hermitian(rng, sizes):
     """Random sparse Hermitian matrix whose components are random trees over
     the given sizes (plus random extra edges), on a shuffled index set; its

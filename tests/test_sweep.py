@@ -56,6 +56,28 @@ def test_sweep_rows_and_zero_point():
     assert [r.xi for r in by_n[1]] == [r.xi for r in by_n[2]]
 
 
+@pytest.mark.parametrize("k,l,dims", [(1, 2, (12, 6, 11)), (1, 3, (10, 5, 13)), (2, 1, (10, 9, 5))])
+def test_sweep_builds_only_the_charge_zero_block(monkeypatch, k, l, dims):
+    built = []
+    original = hocov.sweep.build_hamiltonian
+
+    def recording(spec, *args, **kwargs):
+        op = original(spec, *args, **kwargs)
+        built.append(op.data)
+        return op
+
+    monkeypatch.setattr(hocov.sweep, "build_hamiltonian", recording)
+    run_sweep(tiny_config(k=k, l=l, dims=dims, hierarchy=(1,)), keep_states=False)
+    assert len(built) == 1
+    # rows with l N_A - k N_B = 0 that a raising or a lowering event couples
+    n_p, n_a, n_b = np.unravel_index(np.arange(math.prod(dims)), dims)
+    zero = l * n_a == k * n_b
+    ups = zero & (n_p >= 1) & (n_a + k < dims[1]) & (n_b + l < dims[2])
+    downs = zero & (n_p + 1 < dims[0]) & (n_a >= k) & (n_b >= l)
+    assert built[0].shape == (math.prod(dims),) * 2
+    assert built[0].nnz == np.count_nonzero(ups) + np.count_nonzero(downs)
+
+
 def test_sweep_with_nz_column(monkeypatch):
     calls = []
     build = hocov.criteria.build_covariance
@@ -274,11 +296,28 @@ def test_convergence_check_structure():
 
 def test_convergence_check_custom_step():
     cfg = tiny_config(convergence_step=(1, 1, 1))
-    report = convergence_check(cfg, stride=5)
+    report = convergence_check(cfg, stride=2)
     assert report["boosted_dims"] == (13, 7, 12)
-    # only xi=0 survives a stride this large, so the drift is numerical noise
+    assert {p["xi"] for p in report["points"]} == {0.0, 0.06}
     assert report["pass"]
-    assert report["max_drift"] < 1e-12
+    # xi = 0 is the same product state at both cutoffs, so its drift is numerical noise
+    assert max(p["drift"] for p in report["points"] if p["xi"] == 0.0) < 1e-12
+
+
+def test_convergence_check_refuses_a_check_that_cannot_fail(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(hocov.sweep, "run_sweep", no_sweep)
+    # no boost: the boosted sweep would be the base sweep
+    with pytest.raises(ValueError, match="convergence_step"):
+        convergence_check(tiny_config(convergence_step=(0, 0, 0)), stride=2)
+    # a stride past the 3-point grid leaves only xi = 0
+    for stride in (3, 50):
+        with pytest.raises(ValueError, match=f"stride={stride}"):
+            convergence_check(tiny_config(), stride=stride)
+    with pytest.raises(ValueError, match="stride"):
+        convergence_check(tiny_config(xi_max=0.0), stride=1)
 
 
 def test_cli_sweep_exit_codes(tmp_path, capsys):
@@ -370,7 +409,7 @@ def test_cli_usage_errors():
 def test_cli_check_exit_codes(tmp_path, capsys):
     cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg")
 
-    code = main(["check", "--config", cfg_path, "--stride", "5"])
+    code = main(["check", "--config", cfg_path, "--xi-max", "0.03", "--stride", "1"])
     assert code == 0
     assert "convergence pass" in capsys.readouterr().out
 
@@ -413,3 +452,51 @@ def test_cli_plotdata(tmp_path, capsys):
     lines = series_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "# xi\tnu1\tnu2"
     assert len(lines) == 4
+
+
+def test_cli_check_refuses_a_check_that_cannot_fail(tmp_path, capsys):
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg")
+    out = tmp_path / "drift.tsv"
+    assert main(["check", "--config", cfg_path, "--stride", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stride=5 leaves only xi=0")
+    assert "Traceback" not in err
+    still = write_tiny_cfg(tmp_path / "still.cfg", convergence_step=(0, 0, 0))
+    assert main(["check", "--config", still, "--stride", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: convergence_step = 0, 0, 0")
+    assert not out.exists()
+
+
+def test_cli_plotdata_reports_a_missing_input_file(tmp_path, capsys):
+    out = tmp_path / "series.tsv"
+    missing = tmp_path / "missing.csv"
+    assert main(["plotdata", "--in", str(missing), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_plotdata_reports_a_malformed_row_by_file_and_line(tmp_path, capsys):
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg")
+    csv_path = tmp_path / "run.csv"
+    assert main(["sweep", "--config", cfg_path, "--out", str(csv_path)]) == 0
+    capsys.readouterr()
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    # line 5 is the second data row, after two comment lines and the column names
+    lines[4] = lines[4].replace(",ok,", ",ok,oops", 1)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "series.tsv"
+    assert main(["plotdata", "--in", str(csv_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}:5: malformed sweep row")
+    assert not out.exists()
+
+
+def test_cli_plotdata_checks_series_before_reading(tmp_path, capsys):
+    out = tmp_path / "series.tsv"
+    # the selector is refused before the (missing) input file is opened
+    assert main(["plotdata", "--in", str(tmp_path / "missing.csv"), "--out", str(out),
+                 "--series", "nu1,nope_1"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown series selector 'nope_1'")
+    assert not out.exists()
