@@ -10,7 +10,8 @@ The package is organized bottom-up:
 ``dynamics``
     interaction Hamiltonians and exact charge-sector time evolution
 ``covariance``
-    4x4 higher-order covariance matrices, standard form, invariants,
+    4x4 higher-order covariance matrices, one state at a time or as a
+    (T, 4, 4) stack along a trajectory, standard form, invariants,
     coskewness / cokurtosis blocks
 ``criteria``
     uncertainty and PPT inequalities, the nu-tilde witness, separability
@@ -35,6 +36,7 @@ from .fock import (
     product_state,
     thermal_state,
     top_level_population,
+    top_level_populations,
     vacuum_state,
 )
 from .quadratures import (
@@ -57,11 +59,13 @@ from .dynamics import (
     evolve,
 )
 from .covariance import (
+    CovarianceStack,
     HigherOrderCovariance,
     Invariants,
     StandardForm,
     build_covariance,
     cokurtosis,
+    covariance_stack,
     coskewness_block,
     invariants,
     mirror_reflect,
@@ -72,11 +76,13 @@ from .criteria import (
     NumericalConsistencyError,
     WitnessReport,
     evaluate_criteria,
+    evaluate_stack,
     inequality7_margin,
     inequality8_margin,
     lemma1_check,
     lemma2_transform,
     nha_zubairy,
+    nz_values,
     uncertainty_margin,
     witness_nu_minus,
 )

@@ -1,9 +1,10 @@
 """Command-line front end for sweeps, convergence checks, and series export.
 
 Exit codes: 0 clean completion, 2 usage error (argparse; a config file,
-config value, stride or convergence boost refused before any work; or a
-plotdata input file that is missing or malformed, or an unknown series
-selector; each reported as one ``error:`` line), 3 sweep finished but at
+config value, stride or convergence boost refused before any work; an
+output path whose directory does not exist; or a plotdata input file that
+is missing or malformed, or an unknown series selector; each reported as
+one ``error:`` line), 3 sweep finished but at
 least one grid point tripped the truncation guard, 4 convergence check
 exceeded its drift threshold.
 """
@@ -11,6 +12,7 @@ exceeded its drift threshold.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .sweep import (
@@ -92,14 +94,25 @@ def _usage_error(message) -> int:
     return EXIT_USAGE
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path that cannot be written: its directory is
+    missing, or the path itself is a directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"cannot write {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_sweep(args) -> int:
     try:
         config = _build_config(args)
+        out = args.out or config.out
+        if not out:
+            return _usage_error("no output path (pass --out or set out= in the config)")
+        _check_out(out)
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
-    out = args.out or config.out
-    if not out:
-        return _usage_error("no output path (pass --out or set out= in the config)")
     result = run_sweep(config, keep_states=False)
     write_csv(result, out)
     n_points = len(result.xi_grid)
@@ -117,6 +130,8 @@ def _cmd_check(args) -> int:
     try:
         config = _build_config(args)
         _convergence_configs(config, args.stride)  # a check that could not fail
+        if args.out:
+            _check_out(args.out)
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
     report = convergence_check(config, stride=args.stride)
@@ -125,6 +140,10 @@ def _cmd_check(args) -> int:
           f"{report['max_drift']:.3e} over {len(report['points'])} subsampled "
           f"points (threshold {report['threshold']:.0e}, dims "
           f"{report['base_dims']} -> {report['boosted_dims']})")
+    by_level = report["max_drift_by_level"]
+    worst = max(by_level, key=by_level.get)
+    print(f"worst level n={worst}: max |drift(nu_minus)| by level "
+          + ", ".join(f"n={n} {drift:.3e}" for n, drift in by_level.items()))
     if args.out:
         lines = ["# xi\tn\tdrift"]
         for point in report["points"]:
@@ -138,6 +157,7 @@ def _cmd_plotdata(args) -> int:
     series = tuple(s for s in args.series.split(",") if s)
     try:
         series_fields(series)
+        _check_out(args.out)
         rows = read_csv(args.infile)
     except (OSError, ValueError) as exc:
         return _usage_error(exc)

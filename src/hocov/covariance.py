@@ -9,25 +9,32 @@ so V is real symmetric and V + (i/2) <Omega> captures the full (generally
 complex) second-moment matrix, with <Omega_ij> = -i <[R_i, R_j]> scalarized by
 the state expectations of f_{nk}(N_A) and f_{nl}(N_B).
 
-build_covariance forms no operator. Each entry of R is a fixed combination of
-the ladder powers L = (A, A+, B, B+) with A = a^{nk} and B = b^{nl}. On the
-cutoff, a^m is the index shift |j> -> |j - m> with weight
-sqrt(j (j-1) ... (j-m+1)), and a+^m is its transpose, so a+^m drops the levels
-it would push to or past the cutoff and <A A+> is |A+ psi|^2, not
-<A+ A> + 2 <f_m>. Shifting the flat Fock indices of a pure state's support
-(``QuantumState.support``, read with ``QuantumState.amplitudes``), or of a
-density matrix's rows, places every L_a on one sorted set of target
-indices, and the Gram matrix G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) is
-one product (pure state) or one gather (density matrix) over that set. Then
-<R_i R_j> = (T* G T^T)_ij with T the coefficients of R in L. The cost is
-linear in the support of a pure state, and no full-space array is formed.
+No operator is formed. Each entry of R is a fixed combination of the ladder
+powers L = (1, A, A+, B, B+) with A = a^{nk} and B = b^{nl}. On the cutoff,
+a^m is the index shift |j> -> |j - m> with weight sqrt(j (j-1) ... (j-m+1)),
+and a+^m is its transpose, so a+^m drops the levels it would push to or past
+the cutoff and <A A+> is |A+ psi|^2, not <A+ A> + 2 <f_m>. Shifting the
+sorted flat Fock indices of a support places each L_a on sorted target
+indices, and <R_i R_j> = (T* G T^T)_ij with T the coefficients of R in L and
+G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) the Gram matrix.
+
+``covariance_stack`` computes one hierarchy level for a stack of T pure
+states that share one support, as the states of a trajectory do: the
+targets and weights are built once, each pair of ladder powers is matched
+by ``searchsorted`` on their targets once, and G_ab for every state is a sum
+over the matched amplitudes only. The result is a ``CovarianceStack`` of
+(T, 4, 4) matrices. No selection rule is assumed: a pair whose targets never
+meet simply contributes nothing. ``build_covariance`` is that function on a
+1-stack for a pure state; for a density matrix it gathers G from the
+matrix over the union of the targets, and both finish through the same
+Gram-to-covariance step. The cost is linear in the support of a pure state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -35,6 +42,9 @@ from .fock import DegenerateStateError, ModeLayout, QuantumState, TruncatedOpera
 from .quadratures import check_order, expectation, f_polynomial, nonlinear_quadratures
 
 _MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
+# states per block of covariance_stack's sums; it bounds their temporaries
+# to a few _BLOCK x support arrays
+_BLOCK = 16
 # R = (Q_A, P_A, Q_B, P_B) in terms of the ladder powers (1, A, A+, B, B+):
 # Q = (A + A+)/2 and P = i(A+ - A)/2
 _LADDER_TO_R = np.array([
@@ -43,6 +53,13 @@ _LADDER_TO_R = np.array([
     [0.0, 0.0, 0.0, 0.5, 0.5],
     [0.0, 0.0, 0.0, -0.5j, 0.5j],
 ])
+
+
+def _symmetric(m: np.ndarray):
+    """Whether a 4x4 matrix, or each of a stack, equals its transpose to
+    numpy's allclose tolerance with atol=1e-10."""
+    mt = np.swapaxes(m, -1, -2)
+    return (np.abs(m - mt) <= 1e-10 + 1e-5 * np.abs(mt)).all(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +81,7 @@ class HigherOrderCovariance:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("covariance must be 4x4")
-        if not np.allclose(m, m.T, atol=1e-10):
+        if not _symmetric(m):
             raise ValueError("covariance must be symmetric")
         m = (m + m.T) / 2.0
         m.flags.writeable = False
@@ -89,15 +106,74 @@ class HigherOrderCovariance:
 
     def omega(self) -> np.ndarray:
         """Scalarized commutator matrix <Omega>."""
-        om = np.zeros((4, 4))
-        om[0, 1], om[1, 0] = self.f_ka, -self.f_ka
-        om[2, 3], om[3, 2] = self.f_lb, -self.f_lb
-        return om
+        return _omega(self.f_ka, self.f_lb)
+
+    def stacked(self) -> "CovarianceStack":
+        """This covariance as a stack of one."""
+        return CovarianceStack(self.matrix[None], np.array([self.f_ka]), np.array([self.f_lb]),
+                               self.first_moments[None], self.n, self.k, self.l)
 
 
-def _det2(m: np.ndarray) -> float:
-    # explicit 2x2 determinant: keeps sign flips exact under column negation
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+@dataclass(frozen=True)
+class CovarianceStack:
+    """The covariances of one hierarchy level on a stack of T states.
+
+    matrix is (T, 4, 4), f_ka and f_lb are (T,), first_moments is (T, 4);
+    ``stack[t]`` is the HigherOrderCovariance of state t. The checks of
+    HigherOrderCovariance apply to every member, and a failing member is
+    named by its row.
+    """
+
+    matrix: np.ndarray
+    f_ka: np.ndarray
+    f_lb: np.ndarray
+    first_moments: np.ndarray
+    n: int
+    k: int
+    l: int
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=float)
+        if m.ndim != 3 or m.shape[1:] != (4, 4):
+            raise ValueError(f"covariance stack must be (T, 4, 4), got {m.shape}")
+        close = _symmetric(m)
+        if not close.all():
+            raise ValueError(f"covariance must be symmetric (row {np.argmin(close)})")
+        f = np.array([self.f_ka, self.f_lb], dtype=float).reshape(2, len(m))
+        positive = (f > 0).all(axis=0)
+        if not positive.all():
+            raise ValueError("commutator expectations must be positive "
+                             f"(row {np.argmin(positive)})")
+        for name, value in (("matrix", (m + m.transpose(0, 2, 1)) / 2.0), ("f_ka", f[0]), ("f_lb", f[1]),
+                            ("first_moments", np.array(self.first_moments, dtype=float).reshape(len(m), 4))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, t: int) -> HigherOrderCovariance:
+        return HigherOrderCovariance(self.matrix[t], float(self.f_ka[t]), float(self.f_lb[t]),
+                                     self.first_moments[t], self.n, self.k, self.l)
+
+    def omega(self) -> np.ndarray:
+        """Scalarized commutator matrices <Omega>, (T, 4, 4)."""
+        return _omega(self.f_ka, self.f_lb)
+
+
+def _omega(f_ka, f_lb) -> np.ndarray:
+    """<Omega> for one pair of commutator expectations, or for each of a stack."""
+    f_ka, f_lb = np.asarray(f_ka, dtype=float), np.asarray(f_lb, dtype=float)
+    om = np.zeros(f_ka.shape + (4, 4))
+    om[..., 0, 1], om[..., 1, 0] = f_ka, -f_ka
+    om[..., 2, 3], om[..., 3, 2] = f_lb, -f_lb
+    return om
+
+
+def _det2(m: np.ndarray):
+    # explicit determinant of a 2x2 block, or of each block of a stack: keeps
+    # sign flips exact under column negation
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 @dataclass(frozen=True)
@@ -117,9 +193,9 @@ class Invariants:
 def invariants(cov: HigherOrderCovariance) -> Invariants:
     v = cov.matrix
     return Invariants(
-        i1=_det2(v[:2, :2]),
-        i2=_det2(v[2:, 2:]),
-        i3=_det2(v[:2, 2:]),
+        i1=float(_det2(v[:2, :2])),
+        i2=float(_det2(v[2:, 2:])),
+        i3=float(_det2(v[:2, 2:])),
         i4=float(np.linalg.det(v)),
     )
 
@@ -160,29 +236,109 @@ def _ladder(layout: ModeLayout, idx: np.ndarray, mode: int, m: int, dagger: bool
     return rows, idx[rows] + shift, np.sqrt(weight)
 
 
+def _ladder_powers(layout: ModeLayout, idx: np.ndarray, n: int, k: int, l: int):
+    """L = (1, A, A+, B, B+) on the sorted flat Fock indices ``idx``, each as
+    (rows, target, weight), and (mode, order) of A and B."""
+    if n < 1:
+        raise ValueError("hierarchy index n must be >= 1")
+    orders = ((layout.mode_a, n * k), (layout.mode_b, n * l))
+    for mode, m in orders:
+        check_order(layout, mode, m)
+    ops = [(np.arange(len(idx)), idx, np.ones(len(idx)))]
+    ops += [_ladder(layout, idx, mode, m, dagger) for mode, m in orders for dagger in (False, True)]
+    return ops, orders
+
+
+def _from_gram(gram: np.ndarray, f_ka, f_lb, n: int, k: int, l: int) -> CovarianceStack:
+    """Covariances from a (T, 5, 5) stack of Gram matrices over L, whose row 0
+    holds <L_b> = G_0b."""
+    first = (_LADDER_TO_R @ gram[:, 0, :, None])[..., 0]
+    bad = np.abs(first.imag).max(axis=1) > 1e-8
+    if bad.any():
+        raise ValueError("first moments of Hermitian quadratures came out complex "
+                         f"(row {np.argmax(bad)})")
+    r = first.real
+    v = (_LADDER_TO_R.conj() @ gram @ _LADDER_TO_R.T).real - r[:, :, None] * r[:, None, :]
+    return CovarianceStack(v, f_ka, f_lb, r, n, k, l)
+
+
+def covariance_stack(layout: ModeLayout, support, amplitudes, n: int, k: int, l: int) -> CovarianceStack:
+    """Covariances of level n on T pure states that share ``support``.
+
+    ``support`` holds S strictly increasing flat Fock indices and
+    ``amplitudes`` is the (T, S) stack of the states' amplitudes there, for
+    example ``np.stack([s.amplitudes for s in states])`` for the states that
+    ``evolve`` returns. Each pair of ladder powers is matched once on its
+    sorted targets, and G_ab of every state sums only the matched amplitude
+    products; no selection rule is assumed, so any pure state is valid. The
+    sums run over blocks of _BLOCK states, so the temporaries do not grow
+    with T.
+    """
+    idx = np.asarray(support).reshape(-1)
+    amp = np.ascontiguousarray(amplitudes, dtype=complex)
+    if amp.ndim != 2 or amp.shape[1] != idx.size:
+        raise ValueError(f"amplitudes must be (T, {idx.size}), one row per state, got {amp.shape}")
+    ops, orders = _ladder_powers(layout, idx, n, k, l)
+    # population weights: |L_a psi|^2 for each a, then f_nk(N_A) and f_nl(N_B)
+    diag = np.zeros((len(ops) + 2, idx.size))
+    for a, (rows, _, weight) in enumerate(ops):
+        diag[a, rows] = weight ** 2
+    for j, (mode, m) in enumerate(orders):
+        diag[len(ops) + j] = f_polynomial(m)(_levels(layout, idx, mode))
+    pairs = []
+    for a, b in combinations(range(len(ops)), 2):
+        rows_a, target_a, weight_a = ops[a]
+        rows_b, target_b, weight_b = ops[b]
+        if not target_a.size:
+            continue
+        at = np.minimum(np.searchsorted(target_a, target_b), target_a.size - 1)
+        hit = np.flatnonzero(target_a[at] == target_b)
+        if hit.size:
+            pairs.append((a, b, rows_a[at[hit]], rows_b[hit], weight_a[at[hit]] * weight_b[hit]))
+    gram = np.zeros((len(amp), len(ops), len(ops)), dtype=complex)
+    f = np.zeros((len(amp), 2))
+    for t in range(0, len(amp), _BLOCK):
+        block = amp[t:t + _BLOCK]
+        pops = block.real ** 2 + block.imag ** 2
+        sums = np.stack([(pops * d).sum(axis=1) for d in diag], axis=1)
+        gram[t:t + _BLOCK, range(len(ops)), range(len(ops))] = sums[:, :len(ops)]
+        f[t:t + _BLOCK] = sums[:, len(ops):]
+        for a, b, rows_a, rows_b, w in pairs:
+            # conj(x) y in real arithmetic, on row-major copies (block[:, i]
+            # would be column-major): each state's sum then runs over one
+            # contiguous row with correctly rounded terms, the same in a
+            # stack of any size
+            x, y = np.take(block, rows_a, axis=1), np.take(block, rows_b, axis=1)
+            re = x.real * y.real
+            re += x.imag * y.imag
+            re *= w
+            im = x.real * y.imag
+            im -= x.imag * y.real
+            im *= w
+            g = re.sum(axis=1) + 1j * im.sum(axis=1)
+            gram[t:t + _BLOCK, a, b], gram[t:t + _BLOCK, b, a] = g, g.conj()
+    return _from_gram(gram, f[:, 0], f[:, 1], n, k, l)
+
+
 def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrderCovariance:
     """Covariance of (Q^{nk}_A, P^{nk}_A, Q^{nl}_B, P^{nl}_B) on ``state``.
 
     First moments are subtracted (they vanish identically on down-conversion
     trajectories, but subtracting keeps the object well defined on any state).
-    The cost is linear in the support of a pure state, or in the dimension
-    for a density matrix; no operator is formed.
+    A pure state goes through ``covariance_stack`` as a stack of one. The
+    cost is linear in the support of a pure state, or in the dimension for a
+    density matrix; no operator is formed.
     """
-    if n < 1:
-        raise ValueError("hierarchy index n must be >= 1")
+    if state.is_pure:
+        return covariance_stack(state.layout, state.support, state.amplitudes[None], n, k, l)[0]
     layout = state.layout
-    orders = ((layout.mode_a, n * k), (layout.mode_b, n * l))
-    for mode, m in orders:
-        check_order(layout, mode, m)
-    # L = (1, A, A+, B, B+). Op b moves row src[b, t] of the amplitudes, whose
-    # rows are the Fock indices idx, to the shared sorted target targets[t]
-    # with weight w[b, t] (0 where it does not reach t). Then
-    # G_ab = tr(L_a+ L_b rho) = sum_t w_a w_b rho[src_b, src_a], and row 0
-    # holds <L_b> = tr(L_b rho).
     idx = state.support
-    ops = [(np.arange(len(idx)), idx, np.ones(len(idx)))]
-    ops += [_ladder(layout, idx, mode, m, dagger) for mode, m in orders for dagger in (False, True)]
-    # sort and drop repeats by hand: np.unique is an order of magnitude slower here
+    ops, orders = _ladder_powers(layout, idx, n, k, l)
+    # op b moves row src[b, t] of rho, whose rows are the Fock indices idx,
+    # to the shared sorted target targets[t] with weight w[b, t] (0 where it
+    # does not reach t); then G_ab = tr(L_a+ L_b rho) = sum_t w_a w_b
+    # rho[src_b, src_a]. Sort and drop repeats by hand: np.unique is an order
+    # of magnitude slower here
     targets = np.sort(np.concatenate([target for _, target, _ in ops]))
     targets = targets[np.diff(targets, prepend=-1) != 0]
     src = np.zeros((len(ops), len(targets)), dtype=np.intp)
@@ -191,23 +347,11 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
         at = np.searchsorted(targets, target)
         src[b, at] = rows
         w[b, at] = weight
-    if state.is_pure:
-        amp = state.amplitudes
-        phi = w * amp[src]
-        gram = phi.conj() @ phi.T
-        pops = np.abs(amp) ** 2
-    else:
-        rho = state.matrix
-        gram = np.einsum("at,bt,abt->ab", w, w, rho[src[None], src[:, None]])
-        pops = np.diag(rho).real
-    first = _LADDER_TO_R @ gram[0]
-    if np.abs(first.imag).max() > 1e-8:
-        raise ValueError("first moments of Hermitian quadratures came out complex")
-    r = first.real
-    v = (_LADDER_TO_R.conj() @ gram @ _LADDER_TO_R.T).real - np.outer(r, r)
-    v = (v + v.T) / 2.0
-    f_ka, f_lb = (float(pops @ f_polynomial(m)(_levels(layout, idx, mode))) for mode, m in orders)
-    return HigherOrderCovariance(v, f_ka, f_lb, r, n, k, l)
+    rho = state.matrix
+    gram = np.einsum("at,bt,abt->ab", w, w, rho[src[None], src[:, None]])
+    pops = np.diag(rho).real
+    f_ka, f_lb = (pops @ f_polynomial(m)(_levels(layout, idx, mode)) for mode, m in orders)
+    return _from_gram(gram[None], f_ka, f_lb, n, k, l)[0]
 
 
 def _sl2_normal_scaling(block: np.ndarray) -> tuple[np.ndarray, float]:

@@ -14,6 +14,13 @@ The hierarchy evaluated here, from weakest to strongest binding:
 
 All scalarizations use the state expectations f_kA = <f_{nk}(N_A)> and
 f_lB = <f_{nl}(N_B)> carried by the covariance object.
+
+Every criterion is written once, on a ``CovarianceStack`` of T covariances:
+one batched ``eigvalsh`` per eigenvalue criterion, the 2x2 invariants once
+for both determinant inequalities, one batched ``det``. ``evaluate_stack``
+returns a report per member; the functions of one covariance
+(``witness_nu_minus``, ``inequality7_margin``, ..., ``evaluate_criteria``)
+run the same code on a stack of one.
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
+    _MIRROR,
+    CovarianceStack,
     HigherOrderCovariance,
     StandardForm,
+    _det2,
     build_covariance,
-    invariants,
-    mirror_reflect,
 )
 from .fock import QuantumState
 
@@ -40,14 +48,39 @@ class NumericalConsistencyError(RuntimeError):
     """Two independent evaluations of the same criterion disagreed."""
 
 
-def _hermitian_part(cov: HigherOrderCovariance, mirrored: bool) -> np.ndarray:
-    base = mirror_reflect(cov) if mirrored else cov
-    return base.matrix + 0.5j * base.omega()
+def _min_eigenvalue(cov: CovarianceStack, mirrored: bool) -> np.ndarray:
+    """Minimum eigenvalue of (mirror(V) or V) + (i/2)<Omega>, one per member."""
+    v = _MIRROR @ cov.matrix @ _MIRROR if mirrored else cov.matrix
+    return np.linalg.eigvalsh(v + 0.5j * cov.omega())[:, 0]
+
+
+def _determinant_margins(cov: CovarianceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inequality 7 margin, inequality 8 margin, det C), one each per member.
+
+    Both margins are one functional of the local-symplectic invariants,
+    evaluated at det C and at |det C|; the cross term is the trace of the
+    symplectically dressed product A J C J B J C^T J.
+    """
+    v = cov.matrix
+    a, b, c = v[:, :2, :2], v[:, 2:, 2:], v[:, :2, 2:]
+    i1, i2, i3 = _det2(a), _det2(b), _det2(c)
+    fk, fl = cov.f_ka, cov.f_lb
+    cross = np.trace(a @ _J0 @ c @ _J0 @ b @ _J0 @ c.transpose(0, 2, 1) @ _J0, axis1=1, axis2=2)
+
+    def form(det_c):
+        return i1 * i2 + (fk * fl / 4.0 - det_c) ** 2 - cross - (i1 * fl**2 + i2 * fk**2) / 4.0
+
+    return form(i3), form(np.abs(i3)), i3
+
+
+def _lemma1(cov: CovarianceStack) -> np.ndarray:
+    f = np.stack([cov.f_ka, cov.f_ka, cov.f_lb, cov.f_lb], axis=1)
+    return np.linalg.det(cov.matrix - f[:, :, None] * np.eye(4) / 2.0)
 
 
 def uncertainty_margin(cov: HigherOrderCovariance) -> float:
     """Minimum eigenvalue of V + (i/2)<Omega>; >= 0 for every physical state."""
-    return float(np.linalg.eigvalsh(_hermitian_part(cov, mirrored=False))[0])
+    return float(_min_eigenvalue(cov.stacked(), mirrored=False)[0])
 
 
 def witness_nu_minus(cov: HigherOrderCovariance) -> float:
@@ -57,22 +90,7 @@ def witness_nu_minus(cov: HigherOrderCovariance) -> float:
     inequality8_margin because the mirror changes the uncertainty matrix by a
     rank-two perturbation with a single negative direction.
     """
-    return float(np.linalg.eigvalsh(_hermitian_part(cov, mirrored=True))[0])
-
-
-def _invariant_form(cov: HigherOrderCovariance, det_c: float) -> float:
-    inv = invariants(cov)
-    fk, fl = cov.f_ka, cov.f_lb
-    a = cov.block_a
-    b = cov.block_b
-    c = cov.block_c
-    cross = float(np.trace(a @ _J0 @ c @ _J0 @ b @ _J0 @ c.T @ _J0))
-    return (
-        inv.i1 * inv.i2
-        + (fk * fl / 4.0 - det_c) ** 2
-        - cross
-        - (inv.i1 * fl**2 + inv.i2 * fk**2) / 4.0
-    )
+    return float(_min_eigenvalue(cov.stacked(), mirrored=True)[0])
 
 
 def inequality7_margin(cov: HigherOrderCovariance) -> float:
@@ -83,7 +101,7 @@ def inequality7_margin(cov: HigherOrderCovariance) -> float:
     tr[A C B C^T]-type products in standard form. Nonnegative for every
     physical state.
     """
-    return _invariant_form(cov, invariants(cov).i3)
+    return float(_determinant_margins(cov.stacked())[0][0])
 
 
 def inequality8_margin(cov: HigherOrderCovariance) -> float:
@@ -92,7 +110,7 @@ def inequality8_margin(cov: HigherOrderCovariance) -> float:
     Separable states satisfy margin >= 0; a negative value certifies
     entanglement. For det C >= 0 the value coincides with inequality7_margin.
     """
-    return _invariant_form(cov, abs(invariants(cov).i3))
+    return float(_determinant_margins(cov.stacked())[1][0])
 
 
 def lemma1_check(cov: HigherOrderCovariance) -> float:
@@ -103,8 +121,7 @@ def lemma1_check(cov: HigherOrderCovariance) -> float:
     positive with two negative eigenvalues, as a two-mode squeezed state
     shows); pair with the minimum eigenvalue when certifying.
     """
-    f = np.diag([cov.f_ka, cov.f_ka, cov.f_lb, cov.f_lb])
-    return float(np.linalg.det(cov.matrix - f / 2.0))
+    return float(_lemma1(cov.stacked())[0])
 
 
 @dataclass(frozen=True)
@@ -276,16 +293,20 @@ def nha_zubairy(state: QuantumState) -> float:
     the bound <N_B + 3/4> is (<f_1(N_A)> + <f_2(N_B)>)/2, with <f_2(N_B)>
     taken from the mode-B populations.
     """
-    return _nz_from_covariance(build_covariance(state, 1, 1, 2))
+    return float(nz_values(build_covariance(state, 1, 1, 2).stacked())[0])
 
 
-def _nz_from_covariance(cov: HigherOrderCovariance) -> float:
+def nz_values(cov: CovarianceStack) -> np.ndarray:
+    """nha_zubairy of each member of an n = 1, (k, l) = (1, 2) stack."""
+    if (cov.n, cov.k, cov.l) != (1, 1, 2):
+        raise ValueError("the variance-product comparator reads the n = 1 covariance "
+                         f"of k=1, l=2, got n={cov.n}, k={cov.k}, l={cov.l}")
     v = cov.matrix
-    var1 = v[0, 0] + v[2, 2] - 2.0 * v[0, 2]
-    var2 = v[1, 1] + v[3, 3] + 2.0 * v[1, 3]
-    cross = v[0, 1] + v[0, 3] - v[2, 1] - v[2, 3]
+    var1 = v[:, 0, 0] + v[:, 2, 2] - 2.0 * v[:, 0, 2]
+    var2 = v[:, 1, 1] + v[:, 3, 3] + 2.0 * v[:, 1, 3]
+    cross = v[:, 0, 1] + v[:, 0, 3] - v[:, 2, 1] - v[:, 2, 3]
     bound = (cov.f_ka + cov.f_lb) / 2.0
-    return float(var1 * var2 - bound**2 - cross**2)
+    return var1 * var2 - bound**2 - cross**2
 
 
 @dataclass(frozen=True)
@@ -305,6 +326,36 @@ class WitnessReport:
     nz_value: float | None = None
 
 
+def evaluate_stack(cov: CovarianceStack, nz=None, xi=None) -> list[WitnessReport]:
+    """Evaluate the full criteria stack on every member of ``cov``.
+
+    The verdict is cross-checked between the eigenvalue witness and the
+    determinant inequality; disagreement outside the boundary band raises
+    NumericalConsistencyError naming the member by xi (when the T grid
+    values ``xi`` are given) or by row, and by n. Values within
+    +-BOUNDARY_TOL of zero report "boundary" rather than forcing a side.
+    ``nz``, T comparator values (see nz_values), fills nz_value.
+    """
+    nu = _min_eigenvalue(cov, mirrored=True)
+    m7, m8, det_c = _determinant_margins(cov)
+    ent_nu = nu < -BOUNDARY_TOL
+    ent_m8 = m8 < -BOUNDARY_TOL
+    bad = np.flatnonzero(ent_nu != ent_m8)
+    if bad.size:
+        t = bad[0]
+        at = f"xi={xi[t]:.6g}" if xi is not None else f"row {t}"
+        raise NumericalConsistencyError(
+            f"witness and determinant inequality disagree at {at}, n={cov.n}: "
+            f"nu_minus={nu[t]:.6e}, ineq8_margin={m8[t]:.6e}"
+        )
+    boundary = (np.abs(nu) <= BOUNDARY_TOL) | (np.abs(m8) <= BOUNDARY_TOL)
+    verdict = np.where(ent_nu, "entangled", np.where(boundary, "boundary", "separable"))
+    columns = zip(nu.tolist(), m7.tolist(), m8.tolist(), _lemma1(cov).tolist(), det_c.tolist(),
+                  _min_eigenvalue(cov, mirrored=False).tolist(), verdict.tolist(),
+                  [None] * len(cov) if nz is None else np.asarray(nz, dtype=float).tolist())
+    return [WitnessReport(cov.n, cov.k, cov.l, *values) for values in columns]
+
+
 def evaluate_criteria(
     state: QuantumState,
     n: int,
@@ -312,44 +363,12 @@ def evaluate_criteria(
     l: int,
     with_nz: bool = False,
 ) -> WitnessReport:
-    """Evaluate the full criteria stack on one state.
-
-    The verdict is cross-checked between the eigenvalue witness and the
-    determinant inequality; disagreement outside the boundary band raises
-    NumericalConsistencyError. Values within +-BOUNDARY_TOL of zero report
-    "boundary" rather than forcing a side. with_nz adds nha_zubairy, read
-    off this covariance when it is the n = 1 one of the (1, 2) process.
+    """Evaluate the full criteria stack on one state: ``evaluate_stack`` on
+    a stack of one. with_nz adds nha_zubairy, read off this covariance when
+    it is the n = 1 one of the (1, 2) process.
     """
-    cov = build_covariance(state, n, k, l)
-    nu = witness_nu_minus(cov)
-    m7 = inequality7_margin(cov)
-    m8 = inequality8_margin(cov)
-    ent_nu = nu < -BOUNDARY_TOL
-    ent_m8 = m8 < -BOUNDARY_TOL
-    if ent_nu != ent_m8:
-        raise NumericalConsistencyError(
-            "witness and determinant inequality disagree: "
-            f"nu_minus={nu:.6e}, ineq8_margin={m8:.6e}"
-        )
-    if ent_nu:
-        verdict = "entangled"
-    elif abs(nu) <= BOUNDARY_TOL or abs(m8) <= BOUNDARY_TOL:
-        verdict = "boundary"
-    else:
-        verdict = "separable"
+    cov = build_covariance(state, n, k, l).stacked()
     nz = None
     if with_nz:
-        nz = _nz_from_covariance(cov) if (n, k, l) == (1, 1, 2) else nha_zubairy(state)
-    return WitnessReport(
-        n=n,
-        k=k,
-        l=l,
-        nu_minus=nu,
-        ineq7_margin=m7,
-        ineq8_margin=m8,
-        lemma1_value=lemma1_check(cov),
-        det_c=invariants(cov).i3,
-        uncertainty=uncertainty_margin(cov),
-        verdict=verdict,
-        nz_value=nz,
-    )
+        nz = nz_values(cov if (n, k, l) == (1, 1, 2) else build_covariance(state, 1, 1, 2).stacked())
+    return evaluate_stack(cov, nz)[0]

@@ -308,17 +308,28 @@ def product_state(layout: ModeLayout, *factors) -> QuantumState:
     return QuantumState(layout, matrix=rho)
 
 
+def top_level_populations(layout: ModeLayout, support, amplitudes, levels: int = 2) -> np.ndarray:
+    """(T, modes) population in the top ``levels`` Fock levels of each mode,
+    for T pure states whose (T, S) ``amplitudes`` sit on one ``support``."""
+    amp = np.ascontiguousarray(amplitudes)
+    p = amp.real ** 2 + amp.imag ** 2
+    occ = np.unravel_index(np.asarray(support), layout.dims)
+    # np.take keeps each state's row contiguous (p[:, mask] would not), so a
+    # state's sum is the same in a stack of any size
+    return np.stack([np.take(p, np.flatnonzero(occ[mode] >= dim - levels), axis=1).sum(axis=1)
+                     for mode, dim in enumerate(layout.dims)], axis=1)
+
+
 def top_level_population(state: QuantumState, levels: int = 2) -> dict[int, float]:
     """Total population in the top ``levels`` Fock levels of each mode.
 
     This is the post-hoc truncation guard: trajectories whose top two levels
     in any mode accumulate more than ~1e-6 population should not be trusted.
+    A pure state goes through ``top_level_populations`` as a stack of one.
     """
     if state.is_pure:
-        p = np.abs(state.amplitudes) ** 2
-        occ = np.unravel_index(state.support, state.layout.dims)
-        return {mode: float(p[occ[mode] >= dim - levels].sum())
-                for mode, dim in enumerate(state.layout.dims)}
+        pops = top_level_populations(state.layout, state.support, state.amplitudes[None], levels)
+        return dict(enumerate(pops[0].tolist()))
     pops = state.populations()
     return {mode: float(np.moveaxis(pops, mode, 0)[-levels:].sum())
             for mode in range(state.layout.nmodes)}

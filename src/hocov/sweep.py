@@ -15,13 +15,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .criteria import evaluate_criteria
+from .covariance import covariance_stack
+from .criteria import evaluate_stack, nz_values
 from .dynamics import EvolutionConfig, InteractionSpec, build_hamiltonian, evolve
 from .fock import (
     ModeLayout,
     QuantumState,
     coherent_state,
-    top_level_population,
+    top_level_populations,
 )
 from .quadratures import MAX_ORDER, UnsupportedOrderError
 
@@ -209,7 +210,11 @@ def _initial_state(config: SweepConfig, layout: ModeLayout) -> QuantumState:
 def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
     """Evolve from vacuum signal/idler and evaluate every criterion.
 
-    The evolution runs once; a grid point is flagged "breach" when a mode's
+    The evolution runs once, and its states share one support, so the sweep
+    stacks their amplitudes into one (T, S) array. The truncation flags and
+    top-level populations come from that stack in one pass, and each
+    hierarchy level takes one ``covariance_stack`` and one ``evaluate_stack``
+    over all T grid points. A grid point is flagged "breach" when a mode's
     top-two-level population exceeds TOP_LEVEL_GUARD.
     """
     layout = ModeLayout(tuple(config.dims))
@@ -224,41 +229,46 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
         tol=config.tol,
     )
     states = evolve(_initial_state(config, layout), hamiltonian, evo)
+    support = states[0].support
+    amps = np.stack([state.amplitudes for state in states])
 
-    flags = []
-    pops = []
-    for state in states:
-        pop = top_level_population(state)
-        flags.append("breach" if max(pop.values()) > TOP_LEVEL_GUARD else "ok")
-        pops.append((pop[layout.pump], pop[layout.mode_a], pop[layout.mode_b]))
+    # (pump, A, B) columns, one row per grid point
+    pops = top_level_populations(layout, support, amps)
+    flags = np.where(pops.max(axis=1) > TOP_LEVEL_GUARD, "breach", "ok").tolist()
+    pops = pops.tolist()
 
-    # the comparator rides on the smallest level's row; at n = 1 it is read
-    # off the covariance evaluate_criteria builds anyway
+    # the comparator rides on the smallest level's row; with k=1, l=2 its
+    # n = 1 covariance is that level's own when the smallest level is 1
     smallest_n = min(config.hierarchy)
-    tasks = [(i, n) for i in range(len(states)) for n in config.hierarchy]
-    reports = [evaluate_criteria(states[i], n, config.k, config.l,
-                                 with_nz=config.with_nz and n == smallest_n)
-               for i, n in tasks]
+    reports = {}
+    for n in config.hierarchy:
+        cov = covariance_stack(layout, support, amps, n, config.k, config.l)
+        nz = None
+        if config.with_nz and n == smallest_n:
+            nz = nz_values(cov if n == 1 else covariance_stack(layout, support, amps, 1, 1, 2))
+        reports[n] = evaluate_stack(cov, nz, xi=grid)
 
     rows = []
-    for (i, n), rep in zip(tasks, reports):
-        rows.append(SweepRow(
-            n=n,
-            k=config.k,
-            l=config.l,
-            xi=grid[i],
-            nu_minus=rep.nu_minus,
-            ineq7=rep.ineq7_margin,
-            ineq8=rep.ineq8_margin,
-            lemma1=rep.lemma1_value,
-            det_c=rep.det_c,
-            nz=rep.nz_value,
-            verdict=rep.verdict,
-            truncation_flag=flags[i],
-            pop_pump=pops[i][0],
-            pop_a=pops[i][1],
-            pop_b=pops[i][2],
-        ))
+    for i in range(len(states)):
+        for n in config.hierarchy:
+            rep = reports[n][i]
+            rows.append(SweepRow(
+                n=n,
+                k=config.k,
+                l=config.l,
+                xi=grid[i],
+                nu_minus=rep.nu_minus,
+                ineq7=rep.ineq7_margin,
+                ineq8=rep.ineq8_margin,
+                lemma1=rep.lemma1_value,
+                det_c=rep.det_c,
+                nz=rep.nz_value,
+                verdict=rep.verdict,
+                truncation_flag=flags[i],
+                pop_pump=pops[i][0],
+                pop_a=pops[i][1],
+                pop_b=pops[i][2],
+            ))
     return SweepResult(
         config=config,
         xi_grid=tuple(grid),
@@ -291,16 +301,20 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(result: SweepResult, path: str) -> None:
-    """Serialize sweep rows with a parameter header, atomically."""
+    """Serialize sweep rows with a parameter header, atomically.
+
+    The header's second line records the config as key=value pairs, with_nz
+    included; read_csv skips it.
+    """
     cfg = result.config
     lines = [
         "# higher-order covariance sweep",
         "# k={} l={} alpha_p={} kappa={} dims={} xi_step={} xi_max={} "
-        "hierarchy={} tol={}".format(
+        "hierarchy={} tol={} with_nz={}".format(
             cfg.k, cfg.l, _fmt(cfg.alpha_p), _fmt(cfg.kappa),
             ",".join(str(d) for d in cfg.dims), _fmt(cfg.xi_step),
             _fmt(cfg.xi_max), ",".join(str(n) for n in cfg.hierarchy),
-            _fmt(cfg.tol),
+            _fmt(cfg.tol), "true" if cfg.with_nz else "false",
         ),
         _CSV_COLUMNS,
     ]
@@ -427,7 +441,9 @@ def convergence_check(config: SweepConfig, stride: int = 5) -> dict:
 
     Re-runs a strided subsample of the xi grid with every mode truncation
     enlarged by config.convergence_step and reports the
-    largest |drift| of nu_minus across grid points and hierarchy levels.
+    largest |drift| of nu_minus across grid points and hierarchy levels
+    (``max_drift``, which alone decides ``pass``), and the largest for each
+    level (``max_drift_by_level``, {n: drift}).
     Evolution is exact within each charge sector, so the coarser check grid
     reproduces the full grid's values at the shared points and enlarging the
     truncation is the only error axis left. A check that could not fail
@@ -441,17 +457,19 @@ def convergence_check(config: SweepConfig, stride: int = 5) -> dict:
     boost_map = {(round(r.xi / base_cfg.xi_step), r.n): r.nu_minus
                  for r in boosted.rows}
     points = []
-    max_drift = 0.0
+    by_level = {n: 0.0 for n in config.hierarchy}
     for row in base.rows:
         key = (round(row.xi / base_cfg.xi_step), row.n)
         if key not in boost_map:
             continue
         drift = abs(row.nu_minus - boost_map[key])
         points.append({"xi": row.xi, "n": row.n, "drift": drift})
-        max_drift = max(max_drift, drift)
+        by_level[row.n] = max(by_level[row.n], drift)
+    max_drift = max(by_level.values())
     threshold = 1e-4
     return {
         "max_drift": max_drift,
+        "max_drift_by_level": by_level,
         "threshold": threshold,
         "pass": bool(max_drift < threshold),
         "points": points,

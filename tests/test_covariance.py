@@ -16,6 +16,7 @@ from hocov import (
     coherent_state,
     cokurtosis,
     coskewness_block,
+    covariance_stack,
     evolve,
     expectation,
     f_operator,
@@ -24,6 +25,7 @@ from hocov import (
     nonlinear_quadratures,
     product_state,
     standard_form,
+    symmetrized_covariance,
     top_level_population,
     vacuum_state,
 )
@@ -201,6 +203,91 @@ def test_evolved_state_reads_like_its_dense_vector(k, l, dims):
         assert np.abs(cov.first_moments - ref.first_moments).max() < 1e-12 * scale
         assert cov.f_ka == pytest.approx(ref.f_ka, rel=1e-12)
         assert cov.f_lb == pytest.approx(ref.f_lb, rel=1e-12)
+
+
+def random_stack(rng, lay, size, count):
+    """``count`` random pure states on one random support of ``size`` flat
+    indices that also holds every index at the top level of mode A or B;
+    state 0 lives on those top-level indices only."""
+    occ = np.unravel_index(np.arange(lay.total_dim), lay.dims)
+    top = np.flatnonzero((occ[lay.mode_a] == lay.dims[lay.mode_a] - 1)
+                         | (occ[lay.mode_b] == lay.dims[lay.mode_b] - 1))
+    support = np.union1d(rng.choice(lay.total_dim, size, replace=False), top)
+    amps = rng.normal(size=(count, support.size)) + 1j * rng.normal(size=(count, support.size))
+    amps[0, ~np.isin(support, top)] = 0.0
+    return support, amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_covariance_stack_matches_the_operator_path(n):
+    # hierarchy.cfg's orders (k=1, l=2, n = 1..3) on a T = 5 stack of random
+    # states outside charge 0, whose support reaches both cutoffs: the first
+    # moments and the entries a selection rule would zero are all present
+    rng = np.random.default_rng(100 + n)
+    lay = ModeLayout((3, 8, 14))
+    support, amps = random_stack(rng, lay, 150, 5)
+    stack = covariance_stack(lay, support, amps, n, 1, 2)
+    assert len(stack) == 5 and stack.matrix.shape == (5, 4, 4)
+    qa = nonlinear_quadratures(lay, lay.mode_a, n)
+    qb = nonlinear_quadratures(lay, lay.mode_b, 2 * n)
+    ops = [qa.q, qa.p, qb.q, qb.p]
+    for t in range(5):
+        state = QuantumState.on_support(lay, support, amps[t])
+        v = np.array([[symmetrized_covariance(x, y, state) for y in ops] for x in ops])
+        first = np.array([expectation(x, state).real for x in ops])
+        scale = max(1.0, np.abs(v).max())
+        assert np.abs(stack.matrix[t] - v).max() < 1e-12 * scale, t
+        assert np.abs(stack.first_moments[t] - first).max() < 1e-12 * scale, t
+        assert stack.f_ka[t] == pytest.approx(expectation(f_operator(lay, lay.mode_a, n), state).real, rel=1e-12)
+        assert stack.f_lb[t] == pytest.approx(expectation(f_operator(lay, lay.mode_b, 2 * n), state).real, rel=1e-12)
+        # outside charge 0: nonzero first moments and <Q^2> != <P^2>
+        if t:
+            assert np.abs(first).max() > 1e-3
+            assert abs(v[0, 0] - v[1, 1]) > 1e-3
+        # a stack of one, and build_covariance, give the member exactly
+        one = covariance_stack(lay, support, amps[t:t + 1], n, 1, 2)
+        single = build_covariance(state, n, 1, 2)
+        for got in (one[0], single):
+            assert np.array_equal(got.matrix, stack.matrix[t])
+            assert np.array_equal(got.first_moments, stack.first_moments[t])
+            assert (got.f_ka, got.f_lb) == (stack.f_ka[t], stack.f_lb[t])
+
+
+def test_covariance_stack_members_do_not_depend_on_the_stack():
+    # more states than one block of the sums: every member equals the same
+    # state evaluated alone, bit for bit, whichever block it falls in
+    from hocov.covariance import _BLOCK
+
+    lay = ModeLayout((3, 8, 14))
+    support, amps = random_stack(np.random.default_rng(9), lay, 150, 2 * _BLOCK + 3)
+    for n in (1, 2):
+        stack = covariance_stack(lay, support, amps, n, 1, 2)
+        for t in range(len(amps)):
+            one = covariance_stack(lay, support, amps[t:t + 1], n, 1, 2)
+            assert np.array_equal(one.matrix[0], stack.matrix[t]), (n, t)
+            assert np.array_equal(one.first_moments[0], stack.first_moments[t]), (n, t)
+            assert (one.f_ka[0], one.f_lb[0]) == (stack.f_ka[t], stack.f_lb[t]), (n, t)
+
+
+def test_covariance_stack_refuses_a_bad_stack():
+    lay = ModeLayout((3, 8, 14))
+    support, amps = random_stack(np.random.default_rng(5), lay, 40, 3)
+    with pytest.raises(ValueError, match="amplitudes must be"):
+        covariance_stack(lay, support, amps[:, 1:], 1, 1, 2)
+    with pytest.raises(ValueError, match="amplitudes must be"):
+        covariance_stack(lay, support, amps[0], 1, 1, 2)
+    with pytest.raises(ValueError, match="hierarchy index"):
+        covariance_stack(lay, support, amps, 0, 1, 2)
+    # the checks of one covariance hold for every member, naming the row
+    stack = covariance_stack(lay, support, amps, 1, 1, 2)
+    bad = stack.matrix.copy()
+    bad[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match=r"symmetric \(row 2\)"):
+        type(stack)(bad, stack.f_ka, stack.f_lb, stack.first_moments, 1, 1, 2)
+    f_ka = stack.f_ka.copy()
+    f_ka[1] = 0.0
+    with pytest.raises(ValueError, match=r"positive \(row 1\)"):
+        type(stack)(stack.matrix, f_ka, stack.f_lb, stack.first_moments, 1, 1, 2)
 
 
 def test_invariants_on_tmsv_and_vacuum():

@@ -12,6 +12,7 @@ import hocov
 
 from hocov import (
     EvolutionConfig,
+    CovarianceStack,
     HigherOrderCovariance,
     InteractionSpec,
     ModeLayout,
@@ -22,8 +23,10 @@ from hocov import (
     build_covariance,
     build_hamiltonian,
     coherent_state,
+    covariance_stack,
     embed,
     evaluate_criteria,
+    evaluate_stack,
     evolve,
     expectation,
     inequality7_margin,
@@ -32,6 +35,7 @@ from hocov import (
     lemma2_transform,
     nha_zubairy,
     nonlinear_quadratures,
+    nz_values,
     number_operator,
     product_state,
     standard_form,
@@ -126,6 +130,45 @@ def test_witness_and_inequality_sign_agreement_on_trajectory():
                 report = evaluate_criteria(state, n, k, l)
                 assert report.verdict in ("entangled", "separable", "boundary")
                 assert report.uncertainty >= -1e-8
+
+
+def test_stack_criteria_equal_the_single_covariance_functions():
+    # evaluate_stack on a trajectory stack gives, member by member, exactly
+    # what the functions of one covariance give
+    states = spdc_trajectory(dims=(6, 6, 16), xi_max=0.4)
+    amps = np.stack([s.amplitudes for s in states])
+    for n in (1, 2):
+        stack = covariance_stack(states[0].layout, states[0].support, amps, n, 1, 2)
+        nz = nz_values(covariance_stack(states[0].layout, states[0].support, amps, 1, 1, 2))
+        reports = evaluate_stack(stack, nz)
+        assert len(reports) == len(states)
+        assert {r.verdict for r in reports} == {"boundary", "entangled"}
+        for t, (rep, state) in enumerate(zip(reports, states)):
+            cov = stack[t]
+            assert (rep.n, rep.k, rep.l) == (n, 1, 2)
+            assert rep.nu_minus == witness_nu_minus(cov)
+            assert rep.uncertainty == uncertainty_margin(cov)
+            assert rep.ineq7_margin == inequality7_margin(cov)
+            assert rep.ineq8_margin == inequality8_margin(cov)
+            assert rep.lemma1_value == lemma1_check(cov)
+            assert rep.det_c == hocov.invariants(cov).det_c
+            assert rep.nz_value == nha_zubairy(state)
+            assert rep == evaluate_criteria(state, n, 1, 2, with_nz=True)
+
+
+def test_stack_cross_check_names_the_disagreeing_row():
+    # V = I/10 with f = 1 breaks the uncertainty relation: nu_minus = -0.4
+    # while inequality 8 reads +0.0576, so the sign cross-check must fire on
+    # that member and name it
+    good = build_covariance(tmsv_state(0.5), 1, 1, 1)
+    assert evaluate_stack(good.stacked())[0].verdict == "entangled"
+    matrix = np.stack([good.matrix, good.matrix, np.eye(4) / 10, good.matrix])
+    stack = CovarianceStack(matrix, [0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 1.0, 0.5],
+                            np.zeros((4, 4)), 1, 1, 1)
+    with pytest.raises(NumericalConsistencyError, match=r"at xi=0\.3, n=1: nu_minus=-4\.0+e-01"):
+        evaluate_stack(stack, xi=(0.0, 0.1, 0.3, 0.5))
+    with pytest.raises(NumericalConsistencyError, match=r"at row 2, n=1"):
+        evaluate_stack(stack)
 
 
 def test_verdicts():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import hocov.cli
 import hocov.criteria
 import hocov.sweep
-from hocov import UnsupportedOrderError
+from hocov import UnsupportedOrderError, top_level_population
 from hocov.cli import main
 from hocov.sweep import (
     SweepConfig,
@@ -79,13 +80,18 @@ def test_sweep_builds_only_the_charge_zero_block(monkeypatch, k, l, dims):
 
 
 def test_sweep_with_nz_column(monkeypatch):
-    calls = []
+    stacks, per_state = [], []
+    stack = hocov.sweep.covariance_stack
     build = hocov.criteria.build_covariance
+    monkeypatch.setattr(hocov.sweep, "covariance_stack",
+                        lambda *args: stacks.append(args[3:]) or stack(*args))
     monkeypatch.setattr(hocov.criteria, "build_covariance",
-                        lambda *args: calls.append(args[1:]) or build(*args))
+                        lambda *args: per_state.append(args[1:]) or build(*args))
     result = run_sweep(tiny_config(with_nz=True))
-    # one covariance per (point, level): the comparator reuses the n = 1 one
-    assert len(calls) == len(result.rows)
+    # one covariance stack per level, no covariance per (point, level): the
+    # comparator reuses the n = 1 stack
+    assert stacks == [(1, 1, 2), (2, 1, 2)]
+    assert per_state == []
     for row in result.rows:
         if row.n == 1:
             assert row.nz == hocov.criteria.nha_zubairy(result.states[result.xi_grid.index(row.xi)])
@@ -97,9 +103,9 @@ def test_sweep_with_nz_column(monkeypatch):
     assert nz[-1] < 0
 
     # without level 1 the comparator still comes from the n = 1 covariance
-    calls.clear()
+    stacks.clear()
     result = run_sweep(tiny_config(with_nz=True, hierarchy=(2,)))
-    assert len(calls) == 2 * len(result.rows)
+    assert stacks == [(2, 1, 2), (1, 1, 2)]
     for row, state in zip(result.rows, result.states):
         assert row.nz == hocov.criteria.nha_zubairy(state)
 
@@ -117,6 +123,8 @@ def test_csv_determinism_and_roundtrip(tmp_path):
     assert "k=1 l=2" in lines[1]
     assert lines[2].startswith("n,k,l,xi,nu_minus")
 
+    assert lines[1].endswith(" with_nz=false")
+
     rows = read_csv(str(p1))
     assert len(rows) == len(result.rows)
     for got, want in zip(rows, result.rows):
@@ -125,6 +133,21 @@ def test_csv_determinism_and_roundtrip(tmp_path):
         assert got.nu_minus == pytest.approx(want.nu_minus, rel=1e-10, abs=1e-15)
         assert got.verdict == want.verdict
         assert got.truncation_flag == want.truncation_flag
+
+
+def test_csv_header_records_with_nz(tmp_path):
+    # the header's key=value pairs read back as the config that wrote it
+    cfg = tiny_config(with_nz=True)
+    result = run_sweep(cfg, keep_states=False)
+    path = tmp_path / "nz.csv"
+    write_csv(result, str(path))
+    header = path.read_text(encoding="utf-8").splitlines()[1]
+    assert header.startswith("# ") and " with_nz=true" in header
+    cfg_path = tmp_path / "header.cfg"
+    cfg_path.write_text("\n".join(header[2:].split()) + "\n", encoding="utf-8")
+    assert config_from_file(str(cfg_path)) == cfg
+    rows = read_csv(str(path))
+    assert [r.nz for r in rows] == pytest.approx([r.nz for r in result.rows], rel=1e-11, abs=1e-300)
 
 
 def test_read_csv_rejects_malformed(tmp_path):
@@ -283,8 +306,8 @@ def test_convergence_check_structure():
     with pytest.raises(ValueError):
         convergence_check(cfg, stride=0)
     report = convergence_check(cfg, stride=2)
-    assert set(report) == {"max_drift", "threshold", "pass", "points",
-                           "base_dims", "boosted_dims"}
+    assert set(report) == {"max_drift", "max_drift_by_level", "threshold", "pass",
+                           "points", "base_dims", "boosted_dims"}
     assert report["base_dims"] == cfg.dims
     assert report["boosted_dims"] == tuple(
         d + b for d, b in zip(cfg.dims, cfg.convergence_step))
@@ -292,6 +315,17 @@ def test_convergence_check_structure():
     assert report["pass"] == (report["max_drift"] < report["threshold"])
     xis = {p["xi"] for p in report["points"]}
     assert xis == {0.0, 0.06}
+
+
+def test_convergence_check_reports_the_drift_of_each_level():
+    report = convergence_check(tiny_config(xi_max=0.09), stride=1)
+    by_level = report["max_drift_by_level"]
+    assert list(by_level) == [1, 2]
+    for n, drift in by_level.items():
+        assert drift == max(p["drift"] for p in report["points"] if p["n"] == n)
+    assert report["max_drift"] == max(by_level.values())
+    # the level-2 witness reads higher moments, which the cutoff bounds worse
+    assert by_level[2] > by_level[1]
 
 
 def test_convergence_check_custom_step():
@@ -354,6 +388,15 @@ def test_catastrophic_truncation_raises():
         run_sweep(cfg)
 
 
+def test_cross_check_failure_names_its_grid_point_and_level():
+    from hocov import NumericalConsistencyError
+
+    cfg = tiny_config(dims=(8, 3, 5), alpha_p=2.0, xi_max=0.4, xi_step=0.2,
+                      hierarchy=(1, 2))
+    with pytest.raises(NumericalConsistencyError, match=r"disagree at xi=0\.[24], n=[12]: "):
+        run_sweep(cfg)
+
+
 def test_pump_cutoff_far_below_its_mean_fails_the_cross_check():
     # |alpha_p|^2 = 2500 on 20 pump levels: the pump is still a finite unit
     # vector, and the corrupted moments trip the sign cross-check
@@ -373,6 +416,33 @@ def test_kept_states_hold_no_full_space_array():
         held += [a.base for a in held if a.base is not None]
         assert held
         assert all(n not in a.shape for a in held)
+
+
+@pytest.mark.parametrize("k,l,dims,hierarchy,with_nz", [
+    (1, 2, (12, 6, 11), (1, 2), True),
+    (1, 2, (12, 6, 11), (2,), True),
+    (1, 3, (10, 5, 13), (1,), False),
+])
+def test_sweep_rows_equal_the_per_state_criteria(k, l, dims, hierarchy, with_nz):
+    # the stack passes give every row exactly what evaluate_criteria and
+    # top_level_population give on the kept state
+    cfg = tiny_config(k=k, l=l, dims=dims, hierarchy=hierarchy, with_nz=with_nz)
+    result = run_sweep(cfg, keep_states=True)
+    assert len(result.rows) == len(result.states) * len(hierarchy)
+    rows = iter(result.rows)
+    for xi, state in zip(result.xi_grid, result.states):
+        pops = top_level_population(state)
+        for n in hierarchy:
+            row = next(rows)
+            rep = hocov.criteria.evaluate_criteria(state, n, k, l,
+                                                   with_nz=with_nz and n == min(hierarchy))
+            assert (row.n, row.xi) == (n, xi)
+            assert (row.nu_minus, row.ineq7, row.ineq8, row.lemma1, row.det_c, row.nz,
+                    row.verdict) == (rep.nu_minus, rep.ineq7_margin, rep.ineq8_margin,
+                                     rep.lemma1_value, rep.det_c, rep.nz_value, rep.verdict)
+            assert (row.pop_pump, row.pop_a, row.pop_b) == (pops[0], pops[1], pops[2])
+            flag = "breach" if max(pops.values()) > hocov.sweep.TOP_LEVEL_GUARD else "ok"
+            assert row.truncation_flag == flag
 
 
 def test_check_base_sweep_matches_full_grid(monkeypatch):
@@ -419,6 +489,47 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert code == 4
     assert "convergence FAIL" in capsys.readouterr().out
     assert drift_out.read_text(encoding="utf-8").startswith("# xi\tn\tdrift")
+
+
+def test_cli_check_prints_the_worst_level(tmp_path, capsys):
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg")
+    assert main(["check", "--config", cfg_path, "--stride", "2"]) == 4
+    report = convergence_check(config_from_file(cfg_path), stride=2)
+    by_level = report["max_drift_by_level"]
+    worst = max(by_level, key=by_level.get)
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith(f"worst level n={worst}: ")
+    for n, drift in by_level.items():
+        assert f"n={n} {drift:.3e}" in line
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--out", "{missing}/run.csv"],
+    ["sweep"],  # out= in the config
+    ["check", "--stride", "2", "--out", "{missing}/drift.tsv"],
+    ["sweep", "--out", "{tmp}"],
+])
+def test_cli_refuses_an_output_path_before_any_work(tmp_path, capsys, monkeypatch, command):
+    missing = tmp_path / "no" / "such"
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg", out=f"{missing}/cfg.csv")
+    for name in ("run_sweep", "convergence_check"):
+        monkeypatch.setattr(hocov.cli, name, lambda *a, **k: pytest.fail("work started"))
+    argv = [arg.format(missing=missing, tmp=tmp_path) for arg in command]
+    code = main(argv[:1] + ["--config", cfg_path] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
+    assert str(missing) in err or "is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
+def test_cli_plotdata_refuses_an_output_path_before_reading(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hocov.cli, "read_csv", lambda *a: pytest.fail("input read"))
+    missing = tmp_path / "no" / "such" / "series.tsv"
+    code = main(["plotdata", "--in", str(tmp_path / "run.csv"), "--out", str(missing)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: cannot write {missing}: directory "
+                                       f"{missing.parent} does not exist\n")
 
 
 def test_cli_check_report_written_atomically(tmp_path, capsys):
