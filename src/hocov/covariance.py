@@ -10,12 +10,10 @@ complex) second-moment matrix, with <Omega_ij> = -i <[R_i, R_j]> scalarized by
 the state expectations of f_{nk}(N_A) and f_{nl}(N_B).
 
 No operator is formed. Each entry of R is a fixed combination of the ladder
-powers L = (1, A, A+, B, B+) with A = a^{nk} and B = b^{nl}. On the cutoff,
-a^m is the index shift |j> -> |j - m> with weight sqrt(j (j-1) ... (j-m+1)),
-and a+^m is its transpose, so a+^m drops the levels it would push to or past
-the cutoff and <A A+> is |A+ psi|^2, not <A+ A> + 2 <f_m>. Shifting the
-sorted flat Fock indices of a support places each L_a on sorted target
-indices, and <R_i R_j> = (T* G T^T)_ij with T the coefficients of R in L and
+powers L = (1, A, A+, B, B+) with A = a^{nk} and B = b^{nl}, truncated as
+the ``fock`` module docstring states. ``fock.shift`` places each L_a of the
+sorted flat Fock indices of a support on sorted target indices, and
+<R_i R_j> = (T* G T^T)_ij with T the coefficients of R in L and
 G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) the Gram matrix.
 
 ``covariance_stack`` computes one hierarchy level for a stack of T pure
@@ -32,14 +30,13 @@ Gram-to-covariance step. The cost is linear in the support of a pure state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .fock import DegenerateStateError, ModeLayout, QuantumState, TruncatedOperator
-from .quadratures import check_order, expectation, f_polynomial, nonlinear_quadratures
+from .fock import DegenerateStateError, ModeLayout, QuantumState, TruncatedOperator, occupations, shift
+from .quadratures import check_order, f_polynomial, nonlinear_quadratures
 
 _MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 # states per block of covariance_stack's sums; it bounds their temporaries
@@ -211,41 +208,18 @@ def mirror_reflect(cov: HigherOrderCovariance) -> HigherOrderCovariance:
     return HigherOrderCovariance(vt, cov.f_ka, cov.f_lb, fm, cov.n, cov.k, cov.l)
 
 
-def _levels(layout: ModeLayout, idx: np.ndarray, mode: int) -> np.ndarray:
-    """Occupation of ``mode`` at each flat Fock index."""
-    return idx // math.prod(layout.dims[mode + 1:]) % layout.dims[mode]
-
-
-def _ladder(layout: ModeLayout, idx: np.ndarray, mode: int, m: int, dagger: bool):
-    """Truncated a^m of ``mode``, or its transpose a+^m, on flat Fock indices.
-
-    Returns (rows, target, weight): the operator moves row rows[i] of an
-    amplitude array whose rows are the Fock indices ``idx`` to index
-    target[i], scaled by weight[i]. Rows it annihilates are dropped: j < m for
-    a^m, and j + m >= dim for a+^m, which is where the cutoff enters. Targets
-    are sorted when ``idx`` is.
-    """
-    dim = layout.dims[mode]
-    low = _levels(layout, idx, mode) - (0 if dagger else m)  # |low> <-> |low + m>
-    rows = np.flatnonzero((low >= 0) & (low + m < dim))
-    low = low[rows]
-    weight = np.ones(len(rows))
-    for i in range(1, m + 1):
-        weight *= low + i
-    shift = (m if dagger else -m) * math.prod(layout.dims[mode + 1:])
-    return rows, idx[rows] + shift, np.sqrt(weight)
-
-
 def _ladder_powers(layout: ModeLayout, idx: np.ndarray, n: int, k: int, l: int):
     """L = (1, A, A+, B, B+) on the sorted flat Fock indices ``idx``, each as
-    (rows, target, weight), and (mode, order) of A and B."""
+    ``fock.shift``'s (rows, target, weight), and (mode, order) of A and B."""
     if n < 1:
         raise ValueError("hierarchy index n must be >= 1")
     orders = ((layout.mode_a, n * k), (layout.mode_b, n * l))
     for mode, m in orders:
         check_order(layout, mode, m)
     ops = [(np.arange(len(idx)), idx, np.ones(len(idx)))]
-    ops += [_ladder(layout, idx, mode, m, dagger) for mode, m in orders for dagger in (False, True)]
+    for mode, m in orders:
+        for order in (-m, m):
+            ops.append(shift(layout, idx, [order if i == mode else 0 for i in range(layout.nmodes)]))
     return ops, orders
 
 
@@ -284,7 +258,7 @@ def covariance_stack(layout: ModeLayout, support, amplitudes, n: int, k: int, l:
     for a, (rows, _, weight) in enumerate(ops):
         diag[a, rows] = weight ** 2
     for j, (mode, m) in enumerate(orders):
-        diag[len(ops) + j] = f_polynomial(m)(_levels(layout, idx, mode))
+        diag[len(ops) + j] = f_polynomial(m)(occupations(layout, idx, mode))
     pairs = []
     for a, b in combinations(range(len(ops)), 2):
         rows_a, target_a, weight_a = ops[a]
@@ -350,7 +324,7 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
     rho = state.matrix
     gram = np.einsum("at,bt,abt->ab", w, w, rho[src[None], src[:, None]])
     pops = np.diag(rho).real
-    f_ka, f_lb = (pops @ f_polynomial(m)(_levels(layout, idx, mode)) for mode, m in orders)
+    f_ka, f_lb = (pops @ f_polynomial(m)(occupations(layout, idx, mode)) for mode, m in orders)
     return _from_gram(gram[None], f_ka, f_lb, n, k, l)[0]
 
 
@@ -426,37 +400,34 @@ def _linear_quads(layout: ModeLayout):
     return qa.q.data, qa.p.data, qb.q.data, qb.p.data
 
 
+def _pure_vector(state: QuantumState, name: str) -> np.ndarray:
+    if not state.is_pure:
+        raise ValueError(f"{name} reads pure states; got a density matrix")
+    return state.vector
+
+
 def coskewness_block(state: QuantumState) -> np.ndarray:
     """Third-moment block coupling linear A quadratures to quadratic B forms.
 
     Rows: (q_A, p_A); columns: (q_B^2 - p_B^2, q_B p_B + p_B q_B). The
     operator orderings are Hermitian as written, so the entries are real. For
     zero-mean down-conversion states this block equals the C block of the
-    n = 1 covariance of the k = 1, l = 2 process.
+    n = 1 covariance of the k = 1, l = 2 process. A density matrix is
+    refused with ValueError.
     """
+    psi = _pure_vector(state, "coskewness_block")
     qa, pa, qb, pb = _linear_quads(state.layout)
     out = np.zeros((2, 2))
-    if state.is_pure:
-        psi = state.vector
-        qb2 = qb @ (qb @ psi)
-        pb2 = pb @ (pb @ psi)
-        sym = qb @ (pb @ psi) + pb @ (qb @ psi)
-        for row, op in enumerate((qa, pa)):
-            w = op @ psi
-            e1 = complex(np.vdot(w, qb2 - pb2))
-            e2 = complex(np.vdot(w, sym))
-            out[row, 0], out[row, 1] = e1.real, e2.real
-            if max(abs(e1.imag), abs(e2.imag)) > 1e-8:
-                raise ValueError("coskewness entries came out complex")
-    else:
-        comb1 = qb @ qb - pb @ pb
-        comb2 = qb @ pb + pb @ qb
-        for row, op in enumerate((qa, pa)):
-            e1 = expectation(op @ comb1, state)
-            e2 = expectation(op @ comb2, state)
-            out[row, 0], out[row, 1] = e1.real, e2.real
-            if max(abs(e1.imag), abs(e2.imag)) > 1e-8:
-                raise ValueError("coskewness entries came out complex")
+    qb2 = qb @ (qb @ psi)
+    pb2 = pb @ (pb @ psi)
+    sym = qb @ (pb @ psi) + pb @ (qb @ psi)
+    for row, op in enumerate((qa, pa)):
+        w = op @ psi
+        e1 = complex(np.vdot(w, qb2 - pb2))
+        e2 = complex(np.vdot(w, sym))
+        out[row, 0], out[row, 1] = e1.real, e2.real
+        if max(abs(e1.imag), abs(e2.imag)) > 1e-8:
+            raise ValueError("coskewness entries came out complex")
     return out
 
 
@@ -478,31 +449,19 @@ def cokurtosis(state: QuantumState, x, y, z, w) -> float:
 
     where <...>_W averages all operator orderings and <..>_s symmetrizes pairs.
     Selectors are 'qA', 'pA', 'qB', 'pB' or explicit Hermitian operators.
+    A density matrix is refused with ValueError.
     """
+    psi = _pure_vector(state, "cokurtosis")
     ops = [_resolve_selector(s, state.layout) for s in (x, y, z, w)]
-    psi = state.vector
 
     def pair_sym(i, j):
-        if state.is_pure:
-            val = complex(np.vdot(ops[i] @ psi, ops[j] @ psi))
-        else:
-            val = expectation(ops[i] @ ops[j], state)
-        return val.real  # Re<AB> = <{A,B}>/2 for Hermitian A, B
+        # Re<AB> = <{A,B}>/2 for Hermitian A, B
+        return complex(np.vdot(ops[i] @ psi, ops[j] @ psi)).real
 
     fourth = 0.0 + 0.0j
-    if state.is_pure:
-        for perm in permutations(range(4)):
-            i, j, kk, ll = perm
-            vec = ops[ll] @ psi
-            vec = ops[kk] @ vec
-            vec = ops[j] @ vec
-            fourth += np.vdot(psi, ops[i] @ vec)
-        fourth /= 24.0
-    else:
-        for perm in permutations(range(4)):
-            i, j, kk, ll = perm
-            fourth += expectation(ops[i] @ ops[j] @ ops[kk] @ ops[ll], state)
-        fourth /= 24.0
+    for i, j, kk, ll in permutations(range(4)):
+        fourth += np.vdot(psi, ops[i] @ (ops[j] @ (ops[kk] @ (ops[ll] @ psi))))
+    fourth /= 24.0
     if abs(fourth.imag) > 1e-8:
         raise ValueError(f"Weyl-ordered fourth moment has imaginary residue {fourth.imag:.2e}")
     return float(fourth.real) - pair_sym(0, 1) * pair_sym(2, 3) \

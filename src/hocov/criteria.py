@@ -42,6 +42,9 @@ from .fock import QuantumState
 _J0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # witness and determinant-inequality values this close to zero read "boundary"
 BOUNDARY_TOL = 1e-9
+# largest summed miss of the lemma-2 plane minima from f/2, relative to
+# max(1, f_k + f_l)
+LEMMA2_TOL = 1e-6
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -206,12 +209,7 @@ def _saturating_scalings(a, b, c1, c2, fk, fl):
     return out
 
 
-def lemma2_transform(
-    sf: StandardForm,
-    f_ka: float | None = None,
-    f_lb: float | None = None,
-    tol: float = 1e-6,
-) -> Lemma2Result:
+def lemma2_transform(sf: StandardForm) -> Lemma2Result:
     """Constructive local transformation for det C >= 0 standard forms.
 
     Scales the quadratures so that the minimum eigenvalues of the qq and pp
@@ -221,15 +219,14 @@ def lemma2_transform(
     exactly: eliminating v leaves one quadratic in u, solved in closed form.
     When both roots are admissible (the usual case for det C > 0), the root
     with the larger u is taken. No admissible root, or minima further than
-    tol * max(1, f_k + f_l) from f/2, raises NumericalConsistencyError.
+    LEMMA2_TOL * max(1, f_k + f_l) from f/2, raises NumericalConsistencyError.
 
     det C < 0 inputs are rejected: they are mirror images of the covered case
     and are exactly the entanglement candidates the lemma does not address.
     """
     a, b = sf.a, sf.b
     c1, c2 = sf.c1, sf.c2
-    fk = sf.f_ka if f_ka is None else float(f_ka)
-    fl = sf.f_lb if f_lb is None else float(f_lb)
+    fk, fl = sf.f_ka, sf.f_lb
     if c1 < 0:
         # a local half-turn on one party flips both signs at once
         c1, c2 = -c1, -c2
@@ -267,7 +264,7 @@ def lemma2_transform(
     qq, pp = _plane_blocks(a, b, c1, c2, u, v)
     lambdas = (*_eig2(qq), *_eig2(pp))
     res = abs(lambdas[1] - fk / 2.0) + abs(lambdas[3] - fl / 2.0)
-    if res > tol * max(1.0, fk + fl):
+    if res > LEMMA2_TOL * max(1.0, fk + fl):
         raise NumericalConsistencyError(
             f"scaling (u={u:.6g}, v={v:.6g}) misses the separability bounds by "
             f"{res:.3e} for a={a:.6g}, b={b:.6g}, c1={c1:.6g}, c2={c2:.6g}, "

@@ -10,8 +10,8 @@ xi = kappa * t * alpha_p, so grid times are t_j = xi_j / (kappa * alpha_p).
 a+^k b+^l p moves the flat Fock index r = (n_p d_A + n_a) d_B + n_b by
 -(d_A d_B - k d_B - l), so H is two masked diagonals at that offset and its
 negative. The builders write those CSR arrays row by row from the ladder
-weights by index arithmetic; the classical pump is the same two bands with
-the shifts (1, 1).
+powers of ``fock.shift``, whose module docstring states the truncation
+convention; the classical pump is the same two bands with the shifts (1, 1).
 
 H conserves k N_P + N_A and l N_A - k N_B, so its sparsity graph splits into
 disjoint blocks: from |n0>_P |0,0> a state only ever visits the chain
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import ModeLayout, QuantumState, TruncatedOperator
+from .fock import ModeLayout, QuantumState, TruncatedOperator, shift
 
 NORM_TOL = 1e-8  # largest drift of an evolved state's norm from 1
 
@@ -73,67 +73,40 @@ class InteractionSpec:
         for name, val in (("k", self.k), ("l", self.l)):
             if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
-        if not self.kappa > 0:  # NaN too
-            raise ValueError("kappa must be positive")
-
-
-def _shift_weights(dim: int, m: int) -> np.ndarray:
-    """Weights of the truncated ladder power that moves |n> to |n + m>.
-
-    sqrt((n+1) ... (n+m)) for a+^m, 0 where n + m >= dim; sqrt(n (n-1) ...
-    (n+m+1)) for a^|m|, which vanishes by itself where n < |m|.
-    """
-    n = np.arange(dim)
-    w = np.ones(dim)
-    for j in range(abs(m)):
-        w *= n + j + 1 if m > 0 else n - j
-    w[n + m >= dim] = 0.0
-    return np.sqrt(w)
+        if not (self.kappa > 0 and math.isfinite(self.kappa)):  # NaN too
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
 
 
 def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float,
               rows: np.ndarray | None = None) -> sparse.csr_matrix:
-    """CSR matrix of i*coupling*(U - U+) on ``rows`` (all rows when None).
+    """CSR matrix of i*coupling*(U - U+) on the sorted ``rows`` (all rows when None).
 
-    U moves |n> to |n + shifts>, one truncated ladder power per mode, so it
-    is the flat index shift r -> r + t, t = sum(shifts * strides), with a
-    source weight c(r) that is the product of the modes' weights. Row i then
-    holds i g a(i) at column i - t and -i g c(i) at column i + t, where
-    a(i) = c(i - t) is the weight arriving at i; an entry whose weight is 0
-    is not stored. Each weight is read off i's mode digits, in the product
-    order (w_0 w_1) w_2, and only the given rows are written: the other rows
+    U is the product of truncated ladder powers ``shifts`` (``fock.shift``),
+    a flat index shift r -> r + t. Row i holds i g w at column i - t, where
+    U+ takes |i> with weight w, and -i g w at column i + t, where U takes
+    |i> with weight w; only the given rows are written, and the other rows
     of the (n, n) matrix are empty.
     """
-    dims = layout.dims
-    n = math.prod(dims)
-    t = sum(m * math.prod(dims[i + 1:]) for i, m in enumerate(shifts))
+    n = layout.total_dim
     rows = np.arange(n) if rows is None else np.asarray(rows)
-    leave = arrive = None
-    for dim, m, digit in zip(dims, shifts, np.unravel_index(rows, dims)):
-        w = _shift_weights(dim, m)
-        # the weight arriving at digit d left digit d - m
-        v = np.zeros(dim)
-        v[max(m, 0):dim + min(m, 0)] = w[max(-m, 0):dim - max(m, 0)]
-        leave = w[digit] if leave is None else leave * w[digit]
-        arrive = v[digit] if arrive is None else arrive * v[digit]
-    # columns i - |t| before i + |t| in each row
-    low, high = (arrive, -leave) if t > 0 else (-leave, arrive)
-    has_low, has_high = low != 0, high != 0
+    bands = [(coupling, *shift(layout, rows, [-m for m in shifts])),
+             (-coupling, *shift(layout, rows, shifts))]
+    _, at, target, _ = bands[0]
+    if at.size and target[0] > rows[at[0]]:
+        bands.reverse()  # t < 0: column i + t comes first in each row
     # the index dtype scipy would pick, so the arrays are not copied
     itype = np.int32 if 2 * n < 2**31 else np.int64
     indptr = np.zeros(n + 1, dtype=itype)
-    indptr[rows + 1] = has_low.astype(itype) + has_high
+    for _, at, _, _ in bands:
+        indptr[rows[at] + 1] += 1
     np.cumsum(indptr, out=indptr)
     # H is purely imaginary: only the imaginary parts are written
     data = np.zeros(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=itype)
-    s = abs(t)
-    at = indptr[rows[has_low]]
-    data.imag[at] = coupling * low[has_low]
-    indices[at] = rows[has_low] - s
-    at = indptr[rows[has_high] + 1] - 1
-    data.imag[at] = coupling * high[has_high]
-    indices[at] = rows[has_high] + s
+    for (g, at, target, weight), first in zip(bands, (True, False)):
+        pos = indptr[rows[at]] if first else indptr[rows[at] + 1] - 1
+        data.imag[pos] = g * weight
+        indices[pos] = target
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -216,12 +189,12 @@ class EvolutionConfig:
         grid = tuple(float(x) for x in self.xi_grid)
         if len(grid) == 0 or grid[0] != 0.0:
             raise ValueError("xi_grid must start at 0")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("xi_grid must be strictly increasing")
-        if not (self.kappa > 0 and self.alpha_p > 0):
-            raise ValueError("kappa and alpha_p must be positive")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not all(a < b for a, b in zip(grid, grid[1:])) or not math.isfinite(grid[-1]):
+            raise ValueError("xi_grid must be finite and strictly increasing")
+        if not all(v > 0 and math.isfinite(v) for v in (self.kappa, self.alpha_p)):
+            raise ValueError("kappa and alpha_p must be positive and finite")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tolerance must be positive and finite")
         object.__setattr__(self, "xi_grid", grid)
 
     def times(self) -> np.ndarray:

@@ -10,6 +10,19 @@ occupy and its amplitudes there. The interaction keeps a trajectory on a
 few chains of the space (1,820 of 376,320 states on window.cfg), so nothing
 the sweep reads is a full-space vector; ``QuantumState.vector`` builds one on
 demand for the operator reference layer.
+
+Ladder powers act on flat indices directly, with no operator formed:
+a+^m moves |j> to |j + m> with weight sqrt((j+1) ... (j+m)), and a^m is
+its transpose, |j + m> -> |j> with the same weight. A power that would push
+a level to or past the cutoff, or below 0, annihilates that index, so the
+truncated a+^m drops the top m levels and <a^m a+^m> is |a+^m psi|^2, not
+<a+^m a^m> + 2 <f_m>. A product of powers on several modes is one shift of
+the flat index by sum(m_i * stride_i), with stride_i the product of the
+dims after mode i, and its weight is the square root of the product of
+the modes' integer factors. ``shift`` is that rule, and ``occupations``
+reads a mode's level off a flat index; the Hamiltonian's bands and the
+covariance's ladder powers are both built from them. ``annihilation`` and
+``embed`` form the same operators as matrices, as an independent reference.
 """
 
 from __future__ import annotations
@@ -190,6 +203,36 @@ class QuantumState:
         return self.populations().sum(axis=axes)
 
 
+def occupations(layout: ModeLayout, idx, mode: int) -> np.ndarray:
+    """Fock level of ``mode`` at each flat index of ``idx``."""
+    return np.asarray(idx) // math.prod(layout.dims[mode + 1:]) % layout.dims[mode]
+
+
+def shift(layout: ModeLayout, idx, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The product of truncated ladder powers, one signed order per mode, on flat indices.
+
+    Order m > 0 on a mode is a+^m, m < 0 is a^|m| and 0 leaves the mode
+    alone. Returns (rows, target, weight): the product moves |idx[rows[i]]>
+    to |target[i]> with weight[i] > 0, and the indices it annihilates are
+    not in ``rows``. Targets are sorted when ``idx`` is.
+    """
+    idx = np.asarray(idx)
+    kept = np.ones(idx.shape, dtype=bool)
+    product = np.ones(idx.shape)
+    offset = 0
+    for mode, m in enumerate(shifts):
+        if m == 0:
+            continue
+        low = occupations(layout, idx, mode) - max(-m, 0)  # |low> <-> |low + |m||
+        kept &= low >= 0
+        kept &= low < layout.dims[mode] - abs(m)
+        for i in range(1, abs(m) + 1):
+            product *= low + i
+        offset += m * math.prod(layout.dims[mode + 1:])
+    rows = np.flatnonzero(kept)
+    return rows, idx[rows] + offset, np.sqrt(product[rows])
+
+
 def annihilation(dim: int) -> np.ndarray:
     """Single-mode annihilation operator, a[n-1, n] = sqrt(n)."""
     if dim < 2:
@@ -313,10 +356,10 @@ def top_level_populations(layout: ModeLayout, support, amplitudes, levels: int =
     for T pure states whose (T, S) ``amplitudes`` sit on one ``support``."""
     amp = np.ascontiguousarray(amplitudes)
     p = amp.real ** 2 + amp.imag ** 2
-    occ = np.unravel_index(np.asarray(support), layout.dims)
     # np.take keeps each state's row contiguous (p[:, mask] would not), so a
     # state's sum is the same in a stack of any size
-    return np.stack([np.take(p, np.flatnonzero(occ[mode] >= dim - levels), axis=1).sum(axis=1)
+    return np.stack([np.take(p, np.flatnonzero(occupations(layout, support, mode) >= dim - levels),
+                             axis=1).sum(axis=1)
                      for mode, dim in enumerate(layout.dims)], axis=1)
 
 

@@ -178,10 +178,7 @@ def expectation(op, state: QuantumState) -> complex:
     if state.is_pure:
         psi = state.vector
         return complex(np.vdot(psi, mat @ psi))
-    prod = mat @ state.matrix
-    if sparse.issparse(prod):
-        return complex(prod.diagonal().sum())
-    return complex(np.trace(prod))
+    return complex(np.trace(mat @ state.matrix))
 
 
 def symmetrized_covariance(op1, op2, state: QuantumState) -> float:

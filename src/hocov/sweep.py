@@ -9,7 +9,9 @@ numbers are printed with a fixed format, and files are written atomically.
 
 from __future__ import annotations
 
+import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, fields, replace
 
@@ -45,10 +47,10 @@ class SweepConfig:
     with_nz adds the product-of-variances comparator (k=1, l=2 only).
     Every value is checked here, before any evolution, with a message that
     names its key: dims (three cutoffs >= 2), k and l (integers >= 1, not
-    both 1), kappa, alpha_p and tol (positive), the xi grid, hierarchy
-    (positive, no level twice), convergence_step (three nonnegative
-    increments), and the orders the hierarchy needs (within the f_m table
-    and below each mode's cutoff).
+    both 1), kappa, alpha_p, tol and xi_step (positive and finite), xi_max
+    (nonnegative and finite), hierarchy (positive, no level twice),
+    convergence_step (three nonnegative increments), and the orders the
+    hierarchy needs (within the f_m table and below each mode's cutoff).
     """
 
     k: int = 1
@@ -72,12 +74,12 @@ class SweepConfig:
         if self.k + self.l < 3:
             raise ValueError("k = l = 1 is the Gaussian classical-pump process; "
                              "the trilinear sweep needs k + l >= 3")
-        for name in ("alpha_p", "tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.xi_step <= 0 or self.xi_max < 0:
-            raise ValueError("xi_step must be positive and xi_max nonnegative, got "
-                             f"xi_step={self.xi_step!r}, xi_max={self.xi_max!r}")
+        for name in ("alpha_p", "tol", "xi_step"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (self.xi_max >= 0 and math.isfinite(self.xi_max)):
+            raise ValueError(f"xi_max must be nonnegative and finite, got {self.xi_max!r}")
         if not self.hierarchy or any(n < 1 for n in self.hierarchy):
             raise ValueError("hierarchy levels must be positive integers")
         if len(set(self.hierarchy)) != len(self.hierarchy):
@@ -288,9 +290,22 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temporary file in its directory.
+
+    The file gets the mode a plain ``open`` would give: an existing file
+    keeps its mode, and a new one gets 0o666 less the umask (mkstemp alone
+    would leave it 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)

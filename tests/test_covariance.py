@@ -426,6 +426,15 @@ def test_cokurtosis_reconstructs_cubic_cross_block():
     assert c11 == pytest.approx(cov.block_c[1, 1], abs=1e-9)
 
 
+def test_higher_moments_refuse_a_density_matrix():
+    lay = ModeLayout((5, 5))
+    mixed = product_state(lay, np.eye(5) / 5, coherent_state(0.3, 5))
+    with pytest.raises(ValueError, match="coskewness_block reads pure states"):
+        coskewness_block(mixed)
+    with pytest.raises(ValueError, match="cokurtosis reads pure states"):
+        cokurtosis(mixed, "qA", "qA", "qB", "qB")
+
+
 def test_cubic_quadrature_decomposition():
     # Q^3 = q^3 - 3 q p^2 + (3i/2) p and P^3 = -p^3 + 3 q^2 p - (3i/2) q with
     # literal operator ordering

@@ -238,10 +238,25 @@ def test_builder_validation():
         InteractionSpec(lay3, k=0, l=2)
     with pytest.raises(ValueError):
         InteractionSpec(lay3, k=1, l=2, kappa=-1.0)
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        InteractionSpec(lay3, k=1, l=2, kappa=float("inf"))
     with pytest.raises(ValueError):
         build_classical_pump_hamiltonian(InteractionSpec(ModeLayout((4, 4)), k=1, l=2), 2.0)
     with pytest.raises(ValueError):
         build_classical_pump_hamiltonian(InteractionSpec(lay3, k=1, l=1), 2.0)
+
+
+@pytest.mark.parametrize("bad,match", [
+    (dict(xi_grid=(0.0, float("nan"))), "xi_grid must be finite"),
+    (dict(xi_grid=(0.0, 0.1, float("inf"))), "xi_grid must be finite"),
+    (dict(xi_grid=(0.0, 0.2, 0.1)), "strictly increasing"),
+    (dict(kappa=float("inf")), "kappa and alpha_p must be positive and finite"),
+    (dict(alpha_p=float("nan")), "kappa and alpha_p must be positive and finite"),
+    (dict(tol=float("inf")), "tolerance must be positive and finite"),
+])
+def test_evolution_config_refuses_non_finite_values(bad, match):
+    with pytest.raises(ValueError, match=match):
+        EvolutionConfig(**{**dict(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0), **bad})
 
 
 def test_conserved_charges_commute_exactly():

@@ -20,6 +20,7 @@ from hocov import (
     top_level_population,
     vacuum_state,
 )
+from hocov.fock import occupations, shift
 
 
 def test_annihilation_matrix_elements():
@@ -36,6 +37,54 @@ def test_ladder_commutator_on_safe_block():
     # the top diagonal entry is corrupted by truncation, everything else exact
     assert np.allclose(comm[: dim - 1, : dim - 1], np.eye(dim - 1))
     assert comm[dim - 1, dim - 1] == pytest.approx(1 - dim)
+
+
+def test_occupations_read_the_row_major_digits():
+    lay = ModeLayout((3, 4, 5))
+    flat = np.arange(lay.total_dim)
+    for mode, digits in enumerate(np.unravel_index(flat, lay.dims)):
+        assert np.array_equal(occupations(lay, flat, mode), digits)
+
+
+def reference_ladder_product(lay, shifts):
+    """Dense product of the embedded truncated powers a+^m (m > 0) and a^|m| (m < 0)."""
+    full = np.eye(lay.total_dim)
+    for mode, m in enumerate(shifts):
+        power = np.linalg.matrix_power(annihilation(lay.dims[mode]), abs(m))
+        full = embed(power.T if m > 0 else power, mode, lay).data @ full
+    return full
+
+
+@pytest.mark.parametrize("dims,shifts", [
+    ((4, 5, 6), (-2, 0, 0)),
+    ((4, 5, 6), (0, 3, 0)),
+    ((4, 5, 6), (0, 0, -1)),
+    ((4, 5, 6), (1, -2, 0)),
+    ((4, 5, 6), (-1, 2, 3)),
+    ((4, 5, 6), (1, -1, -2)),
+    ((4, 5, 6), (2, 0, -3)),
+    ((4, 5, 6), (0, 0, 0)),
+    ((4, 5, 6), (4, 0, 0)),  # a+^4 on a dim-4 mode annihilates everything
+    ((7, 6), (1, 1)),
+    ((7, 6), (-3, -5)),
+])
+def test_shift_matches_the_embedded_ladder_powers(dims, shifts):
+    lay = ModeLayout(dims)
+    n = lay.total_dim
+    rng = np.random.default_rng(sum(dims) + 7 * sum(abs(m) for m in shifts))
+    # random indices plus the corners, where every mode sits at 0 or at its cutoff
+    corners = [int(np.ravel_multi_index(c, dims))
+               for c in np.stack(np.meshgrid(*[(0, d - 1) for d in dims])).reshape(len(dims), -1).T]
+    idx = np.union1d(rng.choice(n, size=n // 3, replace=False), corners)
+    rows, target, weight = shift(lay, idx, shifts)
+    assert np.all(np.diff(target) > 0)  # sorted input, sorted targets
+    assert np.all(weight > 0)
+    out = reference_ladder_product(lay, shifts)[:, idx]  # the product on |idx[i]>
+    expected = np.zeros((n, idx.size))
+    expected[target, rows] = weight
+    assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(out).max())
+    # an index is dropped exactly when the product annihilates it
+    assert np.array_equal(rows, np.flatnonzero(np.abs(out).max(axis=0) > 0))
 
 
 def test_number_operator_diagonal():

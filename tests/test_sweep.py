@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -229,6 +231,13 @@ def test_config_validation():
     (dict(k=1, l=1, hierarchy=(1,)), r"k \+ l >= 3"),
     (dict(hierarchy=(1, 1)), "hierarchy lists a level twice"),
     (dict(convergence_step=(4, -1, 16)), "convergence_step must be three nonnegative"),
+    (dict(kappa=float("inf")), "kappa must be positive and finite, got inf"),
+    (dict(alpha_p=float("inf")), "alpha_p must be positive and finite, got inf"),
+    (dict(tol=float("inf")), "tol must be positive and finite, got inf"),
+    (dict(xi_step=float("nan")), "xi_step must be positive and finite, got nan"),
+    (dict(xi_step=float("inf")), "xi_step must be positive and finite, got inf"),
+    (dict(xi_max=float("nan")), "xi_max must be nonnegative and finite, got nan"),
+    (dict(xi_max=float("inf")), "xi_max must be nonnegative and finite, got inf"),
 ])
 def test_config_refuses_each_bad_key(bad, match):
     with pytest.raises(ValueError, match=match):
@@ -243,6 +252,28 @@ def test_cli_reports_a_refused_config_as_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: kappa must be positive")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--xi-step", "nan", "xi_step"),
+    ("--xi-max", "nan", "xi_max"),
+    ("--xi-max", "inf", "xi_max"),
+    ("--alpha-p", "inf", "alpha_p"),
+    ("--kappa", "inf", "kappa"),
+    ("--tol", "inf", "tol"),
+])
+@pytest.mark.parametrize("command", ["sweep", "check"])
+def test_cli_refuses_a_non_finite_value_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command, flag, value, key):
+    monkeypatch.setattr(hocov.cli, "run_sweep", None)  # any work would raise
+    monkeypatch.setattr(hocov.cli, "convergence_check", None)
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg")
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", cfg_path, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -548,6 +579,23 @@ def test_cli_check_report_written_atomically(tmp_path, capsys):
         assert (float(xi), int(n)) == (point["xi"], point["n"])
         assert float(drift) == pytest.approx(point["drift"], rel=1e-11, abs=1e-300)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["drift.tsv", "tiny.cfg"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_outputs_get_the_mode_a_plain_open_would_give(tmp_path, umask):
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("stale\n", encoding="utf-8")
+    old.chmod(0o640)
+    previous = os.umask(umask)
+    try:
+        hocov.sweep._atomic_write(str(new), "fresh\n")
+        hocov.sweep._atomic_write(str(old), "fresh\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert old.read_text(encoding="utf-8") == "fresh\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "old.txt"]
 
 
 def test_cli_plotdata(tmp_path, capsys):
