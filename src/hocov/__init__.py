@@ -10,9 +10,9 @@ The package is organized bottom-up:
 ``dynamics``
     interaction Hamiltonians and exact charge-sector time evolution
 ``covariance``
-    4x4 higher-order covariance matrices, one state at a time or as a
-    (T, 4, 4) stack along a trajectory, standard form, invariants,
-    coskewness / cokurtosis blocks
+    4x4 higher-order covariance matrices: one type holds the covariance of
+    one state or a (T, 4, 4) stack along a trajectory; standard form,
+    invariants, coskewness / cokurtosis blocks
 ``criteria``
     uncertainty and PPT inequalities, the nu-tilde witness, separability
     lemmas, the Nha-Zubairy comparator
@@ -59,7 +59,6 @@ from .dynamics import (
     evolve,
 )
 from .covariance import (
-    CovarianceStack,
     HigherOrderCovariance,
     Invariants,
     StandardForm,

@@ -20,16 +20,25 @@ G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) the Gram matrix.
 states that share one support, as the states of a trajectory do: the
 targets and weights are built once, each pair of ladder powers is matched
 by ``searchsorted`` on their targets once, and G_ab for every state is a sum
-over the matched amplitudes only. The result is a ``CovarianceStack`` of
-(T, 4, 4) matrices. No selection rule is assumed: a pair whose targets never
-meet simply contributes nothing. ``build_covariance`` is that function on a
-1-stack for a pure state; for a density matrix it gathers G from the
-matrix over the union of the targets, and both finish through the same
-Gram-to-covariance step. The cost is linear in the support of a pure state.
+over the matched amplitudes only. No selection rule is assumed: a pair whose
+targets never meet simply contributes nothing. ``build_covariance`` is that
+function on a stack of one for a pure state; for a density matrix it gathers
+G from the matrix over the union of the targets, and both finish through the
+same Gram-to-covariance step. The cost is linear in the support of a pure
+state.
+
+One type, ``HigherOrderCovariance``, holds either one covariance, V as
+(4, 4), or a stack, V as (T, 4, 4) with one f_kA, f_lB and first-moment row
+per member; ``covariance_stack`` returns a stack and ``build_covariance`` one
+covariance. The blocks and <Omega> act on the last two axes, so the criteria
+run on either rank; a caller that needs one rank (``standard_form``,
+``invariants``, ``evaluate_stack``, ``len``) refuses the other with
+ValueError naming the shape.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -52,23 +61,21 @@ _LADDER_TO_R = np.array([
 ])
 
 
-def _symmetric(m: np.ndarray):
-    """Whether a 4x4 matrix, or each of a stack, equals its transpose to
-    numpy's allclose tolerance with atol=1e-10."""
-    mt = np.swapaxes(m, -1, -2)
-    return (np.abs(m - mt) <= 1e-10 + 1e-5 * np.abs(mt)).all(axis=(-2, -1))
-
-
 @dataclass(frozen=True)
 class HigherOrderCovariance:
-    """4x4 symmetrized covariance with its commutator expectations.
+    """4x4 symmetrized covariance with its commutator expectations, of one
+    state or of each state of a stack of T.
 
-    f_ka = <f_{nk}(N_A)>, f_lb = <f_{nl}(N_B)>; first_moments are <R_i>.
+    matrix is (4, 4), or (T, 4, 4) for a stack; f_ka = <f_{nk}(N_A)> and
+    f_lb = <f_{nl}(N_B)> hold one value per member (numbers, or (T,)
+    arrays), and first_moments <R_i> is (4,) or (T, 4). ``cov[t]`` is member
+    t of a stack. Every member must be symmetric with positive f_ka and
+    f_lb; a failing member of a stack is named by its row.
     """
 
     matrix: np.ndarray
-    f_ka: float
-    f_lb: float
+    f_ka: float | np.ndarray
+    f_lb: float | np.ndarray
     first_moments: np.ndarray
     n: int
     k: int
@@ -76,95 +83,61 @@ class HigherOrderCovariance:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("covariance must be 4x4")
-        if not _symmetric(m):
-            raise ValueError("covariance must be symmetric")
-        m = (m + m.T) / 2.0
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        fm = np.array(self.first_moments, dtype=float).reshape(4)
-        fm.flags.writeable = False
-        object.__setattr__(self, "first_moments", fm)
-        if self.f_ka <= 0 or self.f_lb <= 0:
-            raise ValueError("commutator expectations must be positive")
-
-    @property
-    def block_a(self) -> np.ndarray:
-        return self.matrix[:2, :2]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        return self.matrix[2:, 2:]
-
-    @property
-    def block_c(self) -> np.ndarray:
-        return self.matrix[:2, 2:]
-
-    def omega(self) -> np.ndarray:
-        """Scalarized commutator matrix <Omega>."""
-        return _omega(self.f_ka, self.f_lb)
-
-    def stacked(self) -> "CovarianceStack":
-        """This covariance as a stack of one."""
-        return CovarianceStack(self.matrix[None], np.array([self.f_ka]), np.array([self.f_lb]),
-                               self.first_moments[None], self.n, self.k, self.l)
-
-
-@dataclass(frozen=True)
-class CovarianceStack:
-    """The covariances of one hierarchy level on a stack of T states.
-
-    matrix is (T, 4, 4), f_ka and f_lb are (T,), first_moments is (T, 4);
-    ``stack[t]`` is the HigherOrderCovariance of state t. The checks of
-    HigherOrderCovariance apply to every member, and a failing member is
-    named by its row.
-    """
-
-    matrix: np.ndarray
-    f_ka: np.ndarray
-    f_lb: np.ndarray
-    first_moments: np.ndarray
-    n: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 3 or m.shape[1:] != (4, 4):
-            raise ValueError(f"covariance stack must be (T, 4, 4), got {m.shape}")
-        close = _symmetric(m)
-        if not close.all():
-            raise ValueError(f"covariance must be symmetric (row {np.argmin(close)})")
-        f = np.array([self.f_ka, self.f_lb], dtype=float).reshape(2, len(m))
-        positive = (f > 0).all(axis=0)
-        if not positive.all():
-            raise ValueError("commutator expectations must be positive "
-                             f"(row {np.argmin(positive)})")
-        for name, value in (("matrix", (m + m.transpose(0, 2, 1)) / 2.0), ("f_ka", f[0]), ("f_lb", f[1]),
-                            ("first_moments", np.array(self.first_moments, dtype=float).reshape(len(m), 4))):
-            value.flags.writeable = False
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+            raise ValueError(f"covariance must be (4, 4) or a (T, 4, 4) stack, got {m.shape}")
+        mt = np.swapaxes(m, -1, -2)
+        # symmetric to numpy's allclose tolerance with atol=1e-10, per member
+        symmetric = (np.abs(m - mt) <= 1e-10 + 1e-5 * np.abs(mt)).all(axis=(-2, -1))
+        f = np.array([self.f_ka, self.f_lb], dtype=float).reshape((2,) + m.shape[:-2])
+        for ok, message in ((symmetric, "covariance must be symmetric"),
+                            ((f > 0).all(axis=0), "commutator expectations must be positive")):
+            if not ok.all():
+                raise ValueError(message + (f" (row {np.argmin(ok)})" if m.ndim == 3 else ""))
+        fm = np.array(self.first_moments, dtype=float).reshape(m.shape[:-1])
+        for name, value in (("matrix", (m + mt) / 2.0), ("f_ka", f[0]), ("f_lb", f[1]),
+                            ("first_moments", fm)):
+            if isinstance(value, np.ndarray):  # a single covariance's f is a numpy scalar
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
+        _require_rank(self, True, "len()")
         return len(self.matrix)
 
-    def __getitem__(self, t: int) -> HigherOrderCovariance:
-        return HigherOrderCovariance(self.matrix[t], float(self.f_ka[t]), float(self.f_lb[t]),
-                                     self.first_moments[t], self.n, self.k, self.l)
+    def __getitem__(self, t: int) -> "HigherOrderCovariance":
+        _require_rank(self, True, "indexing")
+        # the stack's checks cover its members, so a member is not checked again
+        member = copy.copy(self)
+        for name in ("matrix", "f_ka", "f_lb", "first_moments"):
+            object.__setattr__(member, name, getattr(self, name)[t])
+        return member
+
+    @property
+    def block_a(self) -> np.ndarray:
+        return self.matrix[..., :2, :2]
+
+    @property
+    def block_b(self) -> np.ndarray:
+        return self.matrix[..., 2:, 2:]
+
+    @property
+    def block_c(self) -> np.ndarray:
+        return self.matrix[..., :2, 2:]
 
     def omega(self) -> np.ndarray:
-        """Scalarized commutator matrices <Omega>, (T, 4, 4)."""
-        return _omega(self.f_ka, self.f_lb)
+        """Scalarized commutator matrix <Omega>, (4, 4) or (T, 4, 4)."""
+        om = np.zeros(np.shape(self.f_ka) + (4, 4))
+        om[..., 0, 1], om[..., 1, 0] = self.f_ka, -self.f_ka
+        om[..., 2, 3], om[..., 3, 2] = self.f_lb, -self.f_lb
+        return om
 
 
-def _omega(f_ka, f_lb) -> np.ndarray:
-    """<Omega> for one pair of commutator expectations, or for each of a stack."""
-    f_ka, f_lb = np.asarray(f_ka, dtype=float), np.asarray(f_lb, dtype=float)
-    om = np.zeros(f_ka.shape + (4, 4))
-    om[..., 0, 1], om[..., 1, 0] = f_ka, -f_ka
-    om[..., 2, 3], om[..., 3, 2] = f_lb, -f_lb
-    return om
+def _require_rank(cov: HigherOrderCovariance, stack: bool, caller: str) -> None:
+    """Refuse a covariance of the other rank with ValueError naming its shape:
+    ``caller`` takes a (T, 4, 4) stack if ``stack``, else one (4, 4) covariance."""
+    if (cov.matrix.ndim == 3) != stack:
+        want = "a (T, 4, 4) covariance stack" if stack else "one (4, 4) covariance"
+        raise ValueError(f"{caller} takes {want}, got matrix shape {cov.matrix.shape}")
 
 
 def _det2(m: np.ndarray):
@@ -188,6 +161,7 @@ class Invariants:
 
 
 def invariants(cov: HigherOrderCovariance) -> Invariants:
+    _require_rank(cov, False, "invariants")
     v = cov.matrix
     return Invariants(
         i1=float(_det2(v[:2, :2])),
@@ -223,7 +197,7 @@ def _ladder_powers(layout: ModeLayout, idx: np.ndarray, n: int, k: int, l: int):
     return ops, orders
 
 
-def _from_gram(gram: np.ndarray, f_ka, f_lb, n: int, k: int, l: int) -> CovarianceStack:
+def _from_gram(gram: np.ndarray, f_ka, f_lb, n: int, k: int, l: int) -> HigherOrderCovariance:
     """Covariances from a (T, 5, 5) stack of Gram matrices over L, whose row 0
     holds <L_b> = G_0b."""
     first = (_LADDER_TO_R @ gram[:, 0, :, None])[..., 0]
@@ -233,10 +207,10 @@ def _from_gram(gram: np.ndarray, f_ka, f_lb, n: int, k: int, l: int) -> Covarian
                          f"(row {np.argmax(bad)})")
     r = first.real
     v = (_LADDER_TO_R.conj() @ gram @ _LADDER_TO_R.T).real - r[:, :, None] * r[:, None, :]
-    return CovarianceStack(v, f_ka, f_lb, r, n, k, l)
+    return HigherOrderCovariance(v, f_ka, f_lb, r, n, k, l)
 
 
-def covariance_stack(layout: ModeLayout, support, amplitudes, n: int, k: int, l: int) -> CovarianceStack:
+def covariance_stack(layout: ModeLayout, support, amplitudes, n: int, k: int, l: int) -> HigherOrderCovariance:
     """Covariances of level n on T pure states that share ``support``.
 
     ``support`` holds S strictly increasing flat Fock indices and
@@ -246,7 +220,7 @@ def covariance_stack(layout: ModeLayout, support, amplitudes, n: int, k: int, l:
     sorted targets, and G_ab of every state sums only the matched amplitude
     products; no selection rule is assumed, so any pure state is valid. The
     sums run over blocks of _BLOCK states, so the temporaries do not grow
-    with T.
+    with T. The result is a stack: V is (T, 4, 4).
     """
     idx = np.asarray(support).reshape(-1)
     amp = np.ascontiguousarray(amplitudes, dtype=complex)
@@ -376,6 +350,7 @@ def standard_form(cov: HigherOrderCovariance) -> StandardForm:
     of the cross block diagonalizes it with singular values ordered c1 >= |c2|
     and the sign of det C carried by c2.
     """
+    _require_rank(cov, False, "standard_form")
     s_a, nu_a = _sl2_normal_scaling(cov.block_a)
     s_b, nu_b = _sl2_normal_scaling(cov.block_b)
     u = s_a @ cov.block_c @ s_b.T

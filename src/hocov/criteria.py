@@ -15,12 +15,12 @@ The hierarchy evaluated here, from weakest to strongest binding:
 All scalarizations use the state expectations f_kA = <f_{nk}(N_A)> and
 f_lB = <f_{nl}(N_B)> carried by the covariance object.
 
-Every criterion is written once, on a ``CovarianceStack`` of T covariances:
-one batched ``eigvalsh`` per eigenvalue criterion, the 2x2 invariants once
-for both determinant inequalities, one batched ``det``. ``evaluate_stack``
-returns a report per member; the functions of one covariance
-(``witness_nu_minus``, ``inequality7_margin``, ..., ``evaluate_criteria``)
-run the same code on a stack of one.
+Every criterion is written once, on the last two axes of a
+``HigherOrderCovariance``, so the same code serves one covariance and a
+(T, 4, 4) stack: one batched ``eigvalsh`` per eigenvalue criterion, the 2x2
+invariants once for both determinant inequalities, one batched ``det``.
+``evaluate_stack`` returns a report per member of a stack, and
+``evaluate_criteria`` the report of one state.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import numpy as np
 
 from .covariance import (
     _MIRROR,
-    CovarianceStack,
     HigherOrderCovariance,
     StandardForm,
     _det2,
+    _require_rank,
     build_covariance,
 )
 from .fock import QuantumState
@@ -51,24 +51,23 @@ class NumericalConsistencyError(RuntimeError):
     """Two independent evaluations of the same criterion disagreed."""
 
 
-def _min_eigenvalue(cov: CovarianceStack, mirrored: bool) -> np.ndarray:
+def _min_eigenvalue(cov: HigherOrderCovariance, mirrored: bool) -> np.ndarray:
     """Minimum eigenvalue of (mirror(V) or V) + (i/2)<Omega>, one per member."""
     v = _MIRROR @ cov.matrix @ _MIRROR if mirrored else cov.matrix
-    return np.linalg.eigvalsh(v + 0.5j * cov.omega())[:, 0]
+    return np.linalg.eigvalsh(v + 0.5j * cov.omega())[..., 0]
 
 
-def _determinant_margins(cov: CovarianceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _determinant_margins(cov: HigherOrderCovariance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(inequality 7 margin, inequality 8 margin, det C), one each per member.
 
     Both margins are one functional of the local-symplectic invariants,
     evaluated at det C and at |det C|; the cross term is the trace of the
     symplectically dressed product A J C J B J C^T J.
     """
-    v = cov.matrix
-    a, b, c = v[:, :2, :2], v[:, 2:, 2:], v[:, :2, 2:]
+    a, b, c = cov.block_a, cov.block_b, cov.block_c
     i1, i2, i3 = _det2(a), _det2(b), _det2(c)
     fk, fl = cov.f_ka, cov.f_lb
-    cross = np.trace(a @ _J0 @ c @ _J0 @ b @ _J0 @ c.transpose(0, 2, 1) @ _J0, axis1=1, axis2=2)
+    cross = np.trace(a @ _J0 @ c @ _J0 @ b @ _J0 @ np.swapaxes(c, -1, -2) @ _J0, axis1=-2, axis2=-1)
 
     def form(det_c):
         return i1 * i2 + (fk * fl / 4.0 - det_c) ** 2 - cross - (i1 * fl**2 + i2 * fk**2) / 4.0
@@ -76,14 +75,15 @@ def _determinant_margins(cov: CovarianceStack) -> tuple[np.ndarray, np.ndarray, 
     return form(i3), form(np.abs(i3)), i3
 
 
-def _lemma1(cov: CovarianceStack) -> np.ndarray:
-    f = np.stack([cov.f_ka, cov.f_ka, cov.f_lb, cov.f_lb], axis=1)
-    return np.linalg.det(cov.matrix - f[:, :, None] * np.eye(4) / 2.0)
+def _lemma1(cov: HigherOrderCovariance) -> np.ndarray:
+    f = np.stack([cov.f_ka, cov.f_ka, cov.f_lb, cov.f_lb], axis=-1)
+    return np.linalg.det(cov.matrix - f[..., :, None] * np.eye(4) / 2.0)
 
 
 def uncertainty_margin(cov: HigherOrderCovariance) -> float:
     """Minimum eigenvalue of V + (i/2)<Omega>; >= 0 for every physical state."""
-    return float(_min_eigenvalue(cov.stacked(), mirrored=False)[0])
+    _require_rank(cov, False, "uncertainty_margin")
+    return float(_min_eigenvalue(cov, mirrored=False))
 
 
 def witness_nu_minus(cov: HigherOrderCovariance) -> float:
@@ -93,7 +93,8 @@ def witness_nu_minus(cov: HigherOrderCovariance) -> float:
     inequality8_margin because the mirror changes the uncertainty matrix by a
     rank-two perturbation with a single negative direction.
     """
-    return float(_min_eigenvalue(cov.stacked(), mirrored=True)[0])
+    _require_rank(cov, False, "witness_nu_minus")
+    return float(_min_eigenvalue(cov, mirrored=True))
 
 
 def inequality7_margin(cov: HigherOrderCovariance) -> float:
@@ -104,7 +105,8 @@ def inequality7_margin(cov: HigherOrderCovariance) -> float:
     tr[A C B C^T]-type products in standard form. Nonnegative for every
     physical state.
     """
-    return float(_determinant_margins(cov.stacked())[0][0])
+    _require_rank(cov, False, "inequality7_margin")
+    return float(_determinant_margins(cov)[0])
 
 
 def inequality8_margin(cov: HigherOrderCovariance) -> float:
@@ -113,7 +115,8 @@ def inequality8_margin(cov: HigherOrderCovariance) -> float:
     Separable states satisfy margin >= 0; a negative value certifies
     entanglement. For det C >= 0 the value coincides with inequality7_margin.
     """
-    return float(_determinant_margins(cov.stacked())[1][0])
+    _require_rank(cov, False, "inequality8_margin")
+    return float(_determinant_margins(cov)[1])
 
 
 def lemma1_check(cov: HigherOrderCovariance) -> float:
@@ -124,7 +127,8 @@ def lemma1_check(cov: HigherOrderCovariance) -> float:
     positive with two negative eigenvalues, as a two-mode squeezed state
     shows); pair with the minimum eigenvalue when certifying.
     """
-    return float(_lemma1(cov.stacked())[0])
+    _require_rank(cov, False, "lemma1_check")
+    return float(_lemma1(cov))
 
 
 @dataclass(frozen=True)
@@ -155,11 +159,9 @@ class Lemma2Result:
     residual: float
     swapped: bool
 
-    def as_covariance(self, n: int = 1, k: int = 1, l: int = 1) -> HigherOrderCovariance:
+    def as_covariance(self) -> HigherOrderCovariance:
         """Package the transformed matrix for lemma1_check."""
-        return HigherOrderCovariance(
-            self.transformed, self.f_k, self.f_l, np.zeros(4), n, k, l
-        )
+        return HigherOrderCovariance(self.transformed, self.f_k, self.f_l, np.zeros(4), 1, 1, 1)
 
 
 def _plane_blocks(a, b, c1, c2, u, v):
@@ -290,18 +292,19 @@ def nha_zubairy(state: QuantumState) -> float:
     the bound <N_B + 3/4> is (<f_1(N_A)> + <f_2(N_B)>)/2, with <f_2(N_B)>
     taken from the mode-B populations.
     """
-    return float(nz_values(build_covariance(state, 1, 1, 2).stacked())[0])
+    return float(nz_values(build_covariance(state, 1, 1, 2)))
 
 
-def nz_values(cov: CovarianceStack) -> np.ndarray:
-    """nha_zubairy of each member of an n = 1, (k, l) = (1, 2) stack."""
+def nz_values(cov: HigherOrderCovariance) -> np.ndarray:
+    """nha_zubairy of an n = 1, (k, l) = (1, 2) covariance, one value per
+    member of a stack."""
     if (cov.n, cov.k, cov.l) != (1, 1, 2):
         raise ValueError("the variance-product comparator reads the n = 1 covariance "
                          f"of k=1, l=2, got n={cov.n}, k={cov.k}, l={cov.l}")
     v = cov.matrix
-    var1 = v[:, 0, 0] + v[:, 2, 2] - 2.0 * v[:, 0, 2]
-    var2 = v[:, 1, 1] + v[:, 3, 3] + 2.0 * v[:, 1, 3]
-    cross = v[:, 0, 1] + v[:, 0, 3] - v[:, 2, 1] - v[:, 2, 3]
+    var1 = v[..., 0, 0] + v[..., 2, 2] - 2.0 * v[..., 0, 2]
+    var2 = v[..., 1, 1] + v[..., 3, 3] + 2.0 * v[..., 1, 3]
+    cross = v[..., 0, 1] + v[..., 0, 3] - v[..., 2, 1] - v[..., 2, 3]
     bound = (cov.f_ka + cov.f_lb) / 2.0
     return var1 * var2 - bound**2 - cross**2
 
@@ -323,8 +326,9 @@ class WitnessReport:
     nz_value: float | None = None
 
 
-def evaluate_stack(cov: CovarianceStack, nz=None, xi=None) -> list[WitnessReport]:
-    """Evaluate the full criteria stack on every member of ``cov``.
+def evaluate_stack(cov: HigherOrderCovariance, nz=None, xi=None) -> list[WitnessReport]:
+    """Evaluate the full criteria stack on every member of the (T, 4, 4)
+    stack ``cov``; one covariance is refused with ValueError.
 
     The verdict is cross-checked between the eigenvalue witness and the
     determinant inequality; disagreement outside the boundary band raises
@@ -333,8 +337,15 @@ def evaluate_stack(cov: CovarianceStack, nz=None, xi=None) -> list[WitnessReport
     +-BOUNDARY_TOL of zero report "boundary" rather than forcing a side.
     ``nz``, T comparator values (see nz_values), fills nz_value.
     """
-    nu = _min_eigenvalue(cov, mirrored=True)
-    m7, m8, det_c = _determinant_margins(cov)
+    _require_rank(cov, True, "evaluate_stack")
+    return _reports(cov, nz, xi)
+
+
+def _reports(cov: HigherOrderCovariance, nz=None, xi=None) -> list[WitnessReport]:
+    """evaluate_stack's reports, one per member; one covariance gives a list of one."""
+    nu, m7, m8, det_c, lemma1, uncertainty = map(np.atleast_1d, (
+        _min_eigenvalue(cov, mirrored=True), *_determinant_margins(cov), _lemma1(cov),
+        _min_eigenvalue(cov, mirrored=False)))
     ent_nu = nu < -BOUNDARY_TOL
     ent_m8 = m8 < -BOUNDARY_TOL
     bad = np.flatnonzero(ent_nu != ent_m8)
@@ -347,9 +358,9 @@ def evaluate_stack(cov: CovarianceStack, nz=None, xi=None) -> list[WitnessReport
         )
     boundary = (np.abs(nu) <= BOUNDARY_TOL) | (np.abs(m8) <= BOUNDARY_TOL)
     verdict = np.where(ent_nu, "entangled", np.where(boundary, "boundary", "separable"))
-    columns = zip(nu.tolist(), m7.tolist(), m8.tolist(), _lemma1(cov).tolist(), det_c.tolist(),
-                  _min_eigenvalue(cov, mirrored=False).tolist(), verdict.tolist(),
-                  [None] * len(cov) if nz is None else np.asarray(nz, dtype=float).tolist())
+    columns = zip(nu.tolist(), m7.tolist(), m8.tolist(), lemma1.tolist(), det_c.tolist(),
+                  uncertainty.tolist(), verdict.tolist(),
+                  [None] * nu.size if nz is None else np.atleast_1d(nz).astype(float).tolist())
     return [WitnessReport(cov.n, cov.k, cov.l, *values) for values in columns]
 
 
@@ -360,12 +371,12 @@ def evaluate_criteria(
     l: int,
     with_nz: bool = False,
 ) -> WitnessReport:
-    """Evaluate the full criteria stack on one state: ``evaluate_stack`` on
-    a stack of one. with_nz adds nha_zubairy, read off this covariance when
-    it is the n = 1 one of the (1, 2) process.
+    """Evaluate the full criteria stack on one state, as ``evaluate_stack``
+    does on each member of a stack. with_nz adds nha_zubairy, read off this
+    covariance when it is the n = 1 one of the (1, 2) process.
     """
-    cov = build_covariance(state, n, k, l).stacked()
+    cov = build_covariance(state, n, k, l)
     nz = None
     if with_nz:
-        nz = nz_values(cov if (n, k, l) == (1, 1, 2) else build_covariance(state, 1, 1, 2).stacked())
-    return evaluate_stack(cov, nz)[0]
+        nz = nz_values(cov if (n, k, l) == (1, 1, 2) else build_covariance(state, 1, 1, 2))
+    return _reports(cov, nz)[0]

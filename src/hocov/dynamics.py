@@ -264,13 +264,18 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
     charge=q)`` freezes any part of the state outside sector q, with no
     error; pass H_q only for a state in sector q. The returned states share one support, the sorted
     indices of the blocks the walk reached, and hold amplitudes there only.
-    A norm drift beyond NORM_TOL raises IntegratorError; whether the
-    truncation is adequate is the sweep's call.
+    A state whose norm is further than NORM_TOL from 1 is refused with
+    ValueError before any work; a norm drift beyond NORM_TOL during the
+    evolution raises IntegratorError. Whether the truncation is adequate is
+    the sweep's call.
     """
     if not state.is_pure:
         raise ValueError("evolve propagates pure states; got a density matrix")
     if hamiltonian.layout.dims != state.layout.dims:
         raise ValueError("state and Hamiltonian live on different layouts")
+    norm = float(np.linalg.norm(state.amplitudes))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"evolve needs a normalized state; its norm is {norm:.12f}")
     blocks = _sector_blocks(hamiltonian.data, state.support, config.tol)
     support = np.sort(np.concatenate([idx for idx, _, _ in blocks]))
     # the walk starts from the state's support, so every index it holds lies in a block

@@ -469,15 +469,11 @@ def convergence_check(config: SweepConfig, stride: int = 5) -> dict:
     base = run_sweep(base_cfg, keep_states=False)
     boosted = run_sweep(boosted_cfg, keep_states=False)
 
-    boost_map = {(round(r.xi / base_cfg.xi_step), r.n): r.nu_minus
-                 for r in boosted.rows}
+    # both sweeps share one xi grid and one hierarchy, so their rows pair by position
     points = []
     by_level = {n: 0.0 for n in config.hierarchy}
-    for row in base.rows:
-        key = (round(row.xi / base_cfg.xi_step), row.n)
-        if key not in boost_map:
-            continue
-        drift = abs(row.nu_minus - boost_map[key])
+    for row, boosted_row in zip(base.rows, boosted.rows, strict=True):
+        drift = abs(row.nu_minus - boosted_row.nu_minus)
         points.append({"xi": row.xi, "n": row.n, "drift": drift})
         by_level[row.n] = max(by_level[row.n], drift)
     max_drift = max(by_level.values())

@@ -8,14 +8,18 @@ reference sweeps (detection windows, hierarchy ordering, order
 competition), the constructive separability transform, and the
 mirror-reflection invariant algebra.
 
-Each test prints one summary line (visible with pytest -s); the per-test
-PASSED/FAILED line of pytest -v is the machine-readable verdict. The
+One more check pins the verdict and truncation flag of every grid point
+of the three reference sweeps.
+
+Each numbered test prints one summary line (visible with pytest -s); the
+per-test PASSED/FAILED line of pytest -v is the machine-readable verdict. The
 sweep-backed checks share module-scoped fixtures, so the first of them
 pays the evolution cost. The convergence check re-runs a subsample at
 boosted truncations and dominates the runtime (about ten minutes).
 """
 
 import math
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +327,36 @@ def test_08_order_competition(competition_sweep):
     _report(8, "order competition",
             f"level 1 blind while level 2 detects across xi in [{lo:.2f}, {hi:.2f}] "
             f"({len(window)} points)")
+
+
+# verdict and truncation_flag of every level of the three reference sweeps,
+# run-length encoded along the xi grid: a change to the moments, the criteria
+# or the evolution that moves any verdict or flag fails here
+REFERENCE_VERDICTS = {
+    ("window", 1): [("boundary", 1), ("entangled", 50), ("separable", 25)],
+    ("hierarchy", 1): [("boundary", 1), ("entangled", 30)],
+    ("hierarchy", 2): [("boundary", 1), ("entangled", 30)],
+    ("hierarchy", 3): [("boundary", 1), ("entangled", 30)],
+    ("competition", 1): [("boundary", 1), ("entangled", 4), ("separable", 21)],
+    ("competition", 2): [("boundary", 1), ("entangled", 2), ("separable", 1), ("entangled", 22)],
+}
+
+
+def _runs(values):
+    return [(value, len(list(group))) for value, group in groupby(values)]
+
+
+def test_reference_verdicts_and_flags_are_pinned(window_sweep, hierarchy_sweep,
+                                                 competition_sweep):
+    sweeps = {"window": window_sweep, "hierarchy": hierarchy_sweep,
+              "competition": competition_sweep}
+    levels = {(name, n) for name, result in sweeps.items() for n in result.config.hierarchy}
+    assert levels == set(REFERENCE_VERDICTS)
+    for (name, n), verdicts in REFERENCE_VERDICTS.items():
+        rows = [r for r in sweeps[name].rows if r.n == n]
+        assert [r.xi for r in rows] == list(sweeps[name].xi_grid), (name, n)
+        assert _runs(r.verdict for r in rows) == verdicts, (name, n)
+        assert _runs(r.truncation_flag for r in rows) == [("ok", len(rows))], (name, n)
 
 
 def test_09_separable_transform_saturates():

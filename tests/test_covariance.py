@@ -17,17 +17,23 @@ from hocov import (
     cokurtosis,
     coskewness_block,
     covariance_stack,
+    evaluate_stack,
     evolve,
     expectation,
     f_operator,
+    inequality7_margin,
+    inequality8_margin,
     invariants,
+    lemma1_check,
     mirror_reflect,
     nonlinear_quadratures,
     product_state,
     standard_form,
     symmetrized_covariance,
     top_level_population,
+    uncertainty_margin,
     vacuum_state,
+    witness_nu_minus,
 )
 
 
@@ -288,6 +294,50 @@ def test_covariance_stack_refuses_a_bad_stack():
     f_ka[1] = 0.0
     with pytest.raises(ValueError, match=r"positive \(row 1\)"):
         type(stack)(stack.matrix, f_ka, stack.f_lb, stack.first_moments, 1, 1, 2)
+
+
+def test_one_type_holds_a_covariance_or_a_stack():
+    lay = ModeLayout((3, 8, 14))
+    support, amps = random_stack(np.random.default_rng(7), lay, 40, 3)
+    stack = covariance_stack(lay, support, amps, 1, 1, 2)
+    assert type(stack) is HigherOrderCovariance and len(stack) == 3
+    assert stack.f_ka.shape == stack.f_lb.shape == (3,) and stack.first_moments.shape == (3, 4)
+    for t in range(3):
+        one = stack[t]
+        assert one.matrix.shape == (4, 4) and one.first_moments.shape == (4,)
+        assert isinstance(one.f_ka, float) and isinstance(one.f_lb, float)
+        assert not (one.matrix.flags.writeable or one.first_moments.flags.writeable)
+        assert np.array_equal(one.matrix, stack.matrix[t]) and one.f_ka == stack.f_ka[t]
+        for name in ("block_a", "block_b", "block_c"):
+            assert np.array_equal(getattr(stack, name)[t], getattr(one, name)), name
+        assert np.array_equal(stack.omega()[t], one.omega())
+        assert np.array_equal(mirror_reflect(stack).matrix[t], mirror_reflect(one).matrix)
+    assert [len(stack[1:]), len(stack[:0])] == [2, 0]
+    omega = stack[0].omega()
+    assert np.array_equal(omega, -omega.T)
+    assert (omega[0, 1], omega[2, 3]) == (stack.f_ka[0], stack.f_lb[0])
+    with pytest.raises(ValueError, match=r"\(4, 4\) or a \(T, 4, 4\) stack, got \(2, 3, 4, 4\)"):
+        HigherOrderCovariance(np.zeros((2, 3, 4, 4)), 0.5, 0.5, np.zeros(4), 1, 1, 1)
+
+
+def test_each_caller_refuses_the_other_rank():
+    lay = ModeLayout((3, 8, 14))
+    support, amps = random_stack(np.random.default_rng(8), lay, 40, 2)
+    stack = covariance_stack(lay, support, amps, 1, 1, 2)
+    one = stack[0]
+    for call in (standard_form, invariants, uncertainty_margin, witness_nu_minus,
+                 inequality7_margin, inequality8_margin, lemma1_check):
+        with pytest.raises(ValueError, match=rf"^{call.__name__} takes one \(4, 4\) covariance, "
+                                             r"got matrix shape \(2, 4, 4\)$"):
+            call(stack)
+        call(one)
+    stack_only = ((evaluate_stack, "evaluate_stack"), (len, r"len\(\)"),
+                  (lambda cov: cov[0], "indexing"), (list, r"len\(\)"))
+    for call, name in stack_only:
+        with pytest.raises(ValueError, match=rf"^{name} takes a \(T, 4, 4\) covariance stack, "
+                                             r"got matrix shape \(4, 4\)$"):
+            call(one)
+        call(stack)
 
 
 def test_invariants_on_tmsv_and_vacuum():

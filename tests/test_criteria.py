@@ -12,7 +12,6 @@ import hocov
 
 from hocov import (
     EvolutionConfig,
-    CovarianceStack,
     HigherOrderCovariance,
     InteractionSpec,
     ModeLayout,
@@ -161,10 +160,10 @@ def test_stack_cross_check_names_the_disagreeing_row():
     # while inequality 8 reads +0.0576, so the sign cross-check must fire on
     # that member and name it
     good = build_covariance(tmsv_state(0.5), 1, 1, 1)
-    assert evaluate_stack(good.stacked())[0].verdict == "entangled"
+    assert evaluate_criteria(tmsv_state(0.5), 1, 1, 1).verdict == "entangled"
     matrix = np.stack([good.matrix, good.matrix, np.eye(4) / 10, good.matrix])
-    stack = CovarianceStack(matrix, [0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 1.0, 0.5],
-                            np.zeros((4, 4)), 1, 1, 1)
+    stack = HigherOrderCovariance(matrix, [0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 1.0, 0.5],
+                                  np.zeros((4, 4)), 1, 1, 1)
     with pytest.raises(NumericalConsistencyError, match=r"at xi=0\.3, n=1: nu_minus=-4\.0+e-01"):
         evaluate_stack(stack, xi=(0.0, 0.1, 0.3, 0.5))
     with pytest.raises(NumericalConsistencyError, match=r"at row 2, n=1"):

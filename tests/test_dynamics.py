@@ -22,6 +22,7 @@ from hocov import (
     product_state,
     vacuum_state,
 )
+import hocov.dynamics
 from hocov.dynamics import _sector_blocks
 
 
@@ -423,6 +424,34 @@ def test_density_matrix_input_raises():
     cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
     with pytest.raises(ValueError, match="density matrix"):
         evolve(QuantumState(lay, matrix=rho), h, cfg)
+
+
+def test_unnormalized_state_is_refused_before_the_block_walk(monkeypatch):
+    lay, h = trilinear_setup(dims=(4, 4, 7))
+    psi = product_state(
+        lay, coherent_state(1.0, 4), np.eye(4, dtype=complex)[:, 0], np.eye(7, dtype=complex)[:, 0]
+    )
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
+    monkeypatch.setattr(hocov.dynamics, "_sector_blocks", lambda *a: pytest.fail("block walk ran"))
+    for scale, norm in ((2.0, r"2\.000000000000"), (1.0 - 1e-6, r"0\.999999000000")):
+        with pytest.raises(ValueError, match=rf"normalized state; its norm is {norm}$"):
+            evolve(QuantumState(lay, vector=scale * psi.vector), h, cfg)
+
+
+def test_norm_drift_in_the_propagator_raises_integrator_error(monkeypatch):
+    # a normalized state through eigenvectors scaled by 1.1: the propagator,
+    # not the input, is at fault, and the drift error names the grid point
+    lay, h = trilinear_setup(dims=(4, 4, 7))
+    psi = product_state(
+        lay, coherent_state(1.0, 4), np.eye(4, dtype=complex)[:, 0], np.eye(7, dtype=complex)[:, 0]
+    )
+    blocks = hocov.dynamics._sector_blocks
+    monkeypatch.setattr(hocov.dynamics, "_sector_blocks",
+                        lambda *a: [(idx, lam, 1.1 * vec) for idx, lam, vec in blocks(*a)])
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
+    with pytest.raises(IntegratorError, match=r"^norm drifted to 1\.210000000000 at xi=0\.0$") as err:
+        evolve(psi, h, cfg)
+    assert err.value.residual == pytest.approx(0.21)
 
 
 def test_layout_mismatch_raises():

@@ -498,13 +498,19 @@ def test_check_base_sweep_matches_full_grid(monkeypatch):
         assert abs(base[(i, n)] - nu) < 1e-10
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--dims", "4,5"])
     assert exc.value.code == 2
+    monkeypatch.setattr(hocov.cli, "run_sweep", None)  # any work would raise
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--hierarchy", ","])
+    assert exc.value.code == 2
+    assert "argument --hierarchy: hierarchy must list at least one level" in capsys.readouterr().err
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
