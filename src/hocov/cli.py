@@ -1,12 +1,17 @@
 """Command-line front end for sweeps, convergence checks, and series export.
 
-Exit codes: 0 clean completion, 2 usage error (argparse; a config file,
+A sweep flag's value uses the config-file syntax of its key (``--dims 60,52,104``
+reads as ``dims = 60,52,104``) and overrides the file's value.
+
+Exit codes: 0 clean completion, 2 usage error (a flag value, config file,
 config value, stride or convergence boost refused before any work; an
 output path whose directory does not exist; or a plotdata input file that
 is missing or malformed, or an unknown series selector; each reported as
-one ``error:`` line), 3 sweep finished but at
-least one grid point tripped the truncation guard, 4 convergence check
-exceeded its drift threshold.
+one ``error:`` line naming the key, path or flag; argparse's usage block
+is left to an unknown flag, a missing subcommand or --in, and a --stride
+that is not an integer), 3 sweep finished but at least one grid point
+tripped the truncation guard, 4 convergence check exceeded its drift
+threshold.
 """
 
 from __future__ import annotations
@@ -14,14 +19,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .sweep import (
     SweepConfig,
     _atomic_write,
+    _coerce,
     _convergence_configs,
-    config_from_file,
     convergence_check,
     emit_plot_data,
+    load_config,
     read_csv,
     run_sweep,
     series_fields,
@@ -34,59 +41,36 @@ EXIT_TRUNCATION = 3
 EXIT_DRIFT = 4
 
 
-def _parse_dims(text: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("dims must be three integers: pump,A,B")
-    return tuple(int(p) for p in parts)
-
-
-def _parse_hierarchy(text: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise argparse.ArgumentTypeError("hierarchy must list at least one level")
-    return tuple(int(p) for p in parts)
-
-
 def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH",
                      help="key=value parameter file; flags override it")
-    sub.add_argument("--k", type=int, default=None, help="signal photon order")
-    sub.add_argument("--l", type=int, default=None, help="idler photon order")
-    sub.add_argument("--kappa", type=float, default=None, help="coupling strength")
-    sub.add_argument("--alpha-p", type=float, default=None,
-                     help="pump coherent amplitude")
-    sub.add_argument("--dims", type=_parse_dims, default=None, metavar="P,A,B",
-                     help="Fock truncations per mode")
-    sub.add_argument("--xi-max", type=float, default=None,
-                     help="largest xi = kappa t alpha_p")
-    sub.add_argument("--xi-step", type=float, default=None, help="xi grid spacing")
-    sub.add_argument("--hierarchy", type=_parse_hierarchy, default=None,
-                     metavar="1,2,3", help="hierarchy levels n to evaluate")
-    sub.add_argument("--with-nz", action="store_true", default=None,
+    sub.add_argument("--k", help="signal photon order")
+    sub.add_argument("--l", help="idler photon order")
+    sub.add_argument("--kappa", help="coupling strength")
+    sub.add_argument("--alpha-p", help="pump coherent amplitude")
+    sub.add_argument("--dims", metavar="P,A,B", help="Fock truncations per mode")
+    sub.add_argument("--xi-max", help="largest xi = kappa t alpha_p")
+    sub.add_argument("--xi-step", help="xi grid spacing")
+    sub.add_argument("--hierarchy", metavar="1,2,3",
+                     help="hierarchy levels n to evaluate")
+    sub.add_argument("--with-nz", action="store_const", const="true",
                      help="also evaluate the variance-product comparator")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--tol",
                      help="propagator accuracy target: largest eigen-residual "
                           "of a charge-sector block, relative to max(1, its "
                           "spectral radius)")
 
 
 def _build_config(args) -> SweepConfig:
+    """The config file's values, overridden by each sweep flag given; --out
+    is the subcommand's own output path, not the config's out key."""
     overrides = {
-        "k": args.k,
-        "l": args.l,
-        "kappa": args.kappa,
-        "alpha_p": args.alpha_p,
-        "dims": args.dims,
-        "xi_max": args.xi_max,
-        "xi_step": args.xi_step,
-        "hierarchy": args.hierarchy,
-        "with_nz": args.with_nz,
-        "tol": args.tol,
+        f.name: _coerce(f.name, getattr(args, f.name), "--" + f.name.replace("_", "-"))
+        for f in fields(SweepConfig)
+        if f.name != "out" and getattr(args, f.name, None) is not None
     }
-    if args.config:
-        return config_from_file(args.config, **overrides)
-    return SweepConfig(**{k: v for k, v in overrides.items() if v is not None})
+    values = load_config(args.config) if args.config else {}
+    return SweepConfig(**{**values, **overrides})
 
 
 def _usage_error(message) -> int:

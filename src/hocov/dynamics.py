@@ -82,31 +82,32 @@ def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float,
     """CSR matrix of i*coupling*(U - U+) on the sorted ``rows`` (all rows when None).
 
     U is the product of truncated ladder powers ``shifts`` (``fock.shift``),
-    a flat index shift r -> r + t. Row i holds i g w at column i - t, where
-    U+ takes |i> with weight w, and -i g w at column i + t, where U takes
-    |i> with weight w; only the given rows are written, and the other rows
-    of the (n, n) matrix are empty.
+    a flat index shift r -> r + t, and ``rows`` must be closed under U and
+    U+ (a charge sector is). Where U takes |s> to |r> with weight w, H holds
+    i g w at (r, s) and -i g w at (s, r); only the given rows are written,
+    and the other rows of the (n, n) matrix are empty.
     """
     n = layout.total_dim
     rows = np.arange(n) if rows is None else np.asarray(rows)
-    bands = [(coupling, *shift(layout, rows, [-m for m in shifts])),
-             (-coupling, *shift(layout, rows, shifts))]
-    _, at, target, _ = bands[0]
-    if at.size and target[0] > rows[at[0]]:
+    at, target, weight = shift(layout, rows, shifts)
+    source = rows[at]
+    # (row, column, value) of i g U and of -i g U+
+    bands = [(target, source, coupling * weight), (source, target, -coupling * weight)]
+    if source.size and target[0] < source[0]:
         bands.reverse()  # t < 0: column i + t comes first in each row
     # the index dtype scipy would pick, so the arrays are not copied
     itype = np.int32 if 2 * n < 2**31 else np.int64
     indptr = np.zeros(n + 1, dtype=itype)
-    for _, at, _, _ in bands:
-        indptr[rows[at] + 1] += 1
+    for row, _, _ in bands:
+        indptr[row + 1] += 1
     np.cumsum(indptr, out=indptr)
     # H is purely imaginary: only the imaginary parts are written
     data = np.zeros(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=itype)
-    for (g, at, target, weight), first in zip(bands, (True, False)):
-        pos = indptr[rows[at]] if first else indptr[rows[at] + 1] - 1
-        data.imag[pos] = g * weight
-        indices[pos] = target
+    for (row, column, value), first in zip(bands, (True, False)):
+        pos = indptr[row] if first else indptr[row + 1] - 1
+        data.imag[pos] = value
+        indices[pos] = column
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 

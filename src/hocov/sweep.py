@@ -14,6 +14,7 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,12 +32,6 @@ from .quadratures import MAX_ORDER, UnsupportedOrderError
 # a grid point whose top two Fock levels hold more population than this, in
 # any mode, is flagged "breach"
 TOP_LEVEL_GUARD = 1e-6
-
-_CSV_COLUMNS = (
-    "n,k,l,xi,nu_minus,ineq7,ineq8,lemma1,detC,nz,verdict,truncation_flag,"
-    "pop_pump,pop_a,pop_b"
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -106,12 +101,25 @@ class SweepConfig:
         return tuple(i * self.xi_step for i in range(npoints))
 
 
-_INT_KEYS = {"k", "l"}
-_FLOAT_KEYS = {"kappa", "alpha_p", "xi_max", "xi_step", "tol"}
-_TUPLE_KEYS = {"dims", "hierarchy", "convergence_step"}
-_BOOL_KEYS = {"with_nz"}
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _parse_ints(value: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in value.replace(",", " ").split())
+
+
+# each key parses as the type of its default; out (default None) stays a string
+_KEY_PARSERS = {
+    f.name: {bool: _parse_bool, int: int, float: float, tuple: _parse_ints}.get(
+        type(f.default), str)
+    for f in fields(SweepConfig)
+}
 
 
 def load_config(path: str) -> dict:
@@ -119,7 +127,6 @@ def load_config(path: str) -> dict:
 
     Blank lines and '#' comments are ignored; keys match SweepConfig fields.
     """
-    known = {f.name for f in fields(SweepConfig)}
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -130,29 +137,17 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.lower().replace("-", "_")
-            if key not in known:
+            if key not in _KEY_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = _coerce(key, value, f"{path}:{lineno}")
     return out
 
 
 def _coerce(key: str, value: str, where: str):
+    """Parse a config value as its SweepConfig field's type; a bad value
+    raises ValueError naming ``where`` and the key."""
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _TUPLE_KEYS:
-            parts = [p for p in value.replace(",", " ").split() if p]
-            return tuple(int(p) for p in parts)
-        if key in _BOOL_KEYS:
-            low = value.lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        return value
+        return _KEY_PARSERS[key](value)
     except ValueError as exc:
         raise ValueError(f"{where}: bad value for {key}: {exc}") from exc
 
@@ -183,6 +178,18 @@ class SweepRow:
     pop_pump: float
     pop_a: float
     pop_b: float
+
+
+# the CSV columns are SweepRow's fields in order; det_c is written as detC, and
+# each column's reader is picked by its annotation's text (annotations are postponed)
+_ROW_FIELDS = [f.name for f in fields(SweepRow)]
+_CSV_HEADER = ",".join("detC" if name == "det_c" else name for name in _ROW_FIELDS)
+_row_values = attrgetter(*_ROW_FIELDS)
+_ROW_READERS = [
+    {"int": int, "float": float, "str": str,
+     "float | None": lambda text: float(text) if text else None}[f.type]
+    for f in fields(SweepRow)
+]
 
 
 @dataclass(frozen=True)
@@ -331,16 +338,10 @@ def write_csv(result: SweepResult, path: str) -> None:
             _fmt(cfg.xi_max), ",".join(str(n) for n in cfg.hierarchy),
             _fmt(cfg.tol), "true" if cfg.with_nz else "false",
         ),
-        _CSV_COLUMNS,
+        _CSV_HEADER,
     ]
     for row in result.rows:
-        lines.append(",".join([
-            str(row.n), str(row.k), str(row.l), _fmt(row.xi),
-            _fmt(row.nu_minus), _fmt(row.ineq7), _fmt(row.ineq8),
-            _fmt(row.lemma1), _fmt(row.det_c), _fmt(row.nz),
-            row.verdict, row.truncation_flag,
-            _fmt(row.pop_pump), _fmt(row.pop_a), _fmt(row.pop_b),
-        ]))
+        lines.append(",".join(map(_fmt, _row_values(row))))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -357,19 +358,12 @@ def read_csv(path: str) -> list[SweepRow]:
                 continue
             parts = line.split(",")
             where = f"{path}:{lineno}: malformed sweep row {line!r}"
-            if len(parts) != 15:
-                raise ValueError(f"{where}: expected 15 fields, got {len(parts)}")
+            if len(parts) != len(_ROW_READERS):
+                raise ValueError(f"{where}: expected {len(_ROW_READERS)} fields, "
+                                 f"got {len(parts)}")
             try:
-                rows.append(SweepRow(
-                    n=int(parts[0]), k=int(parts[1]), l=int(parts[2]),
-                    xi=float(parts[3]), nu_minus=float(parts[4]),
-                    ineq7=float(parts[5]), ineq8=float(parts[6]),
-                    lemma1=float(parts[7]), det_c=float(parts[8]),
-                    nz=float(parts[9]) if parts[9] else None,
-                    verdict=parts[10], truncation_flag=parts[11],
-                    pop_pump=float(parts[12]), pop_a=float(parts[13]),
-                    pop_b=float(parts[14]),
-                ))
+                rows.append(SweepRow(*(read(part) for read, part
+                                       in zip(_ROW_READERS, parts))))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
     return rows

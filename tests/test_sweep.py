@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hocov import UnsupportedOrderError, top_level_population
 from hocov.cli import main
 from hocov.sweep import (
     SweepConfig,
+    SweepRow,
     config_from_file,
     convergence_check,
     emit_plot_data,
@@ -130,11 +132,12 @@ def test_csv_determinism_and_roundtrip(tmp_path):
     rows = read_csv(str(p1))
     assert len(rows) == len(result.rows)
     for got, want in zip(rows, result.rows):
-        assert (got.n, got.k, got.l) == (want.n, want.k, want.l)
-        assert got.xi == pytest.approx(want.xi, abs=1e-12)
-        assert got.nu_minus == pytest.approx(want.nu_minus, rel=1e-10, abs=1e-15)
-        assert got.verdict == want.verdict
-        assert got.truncation_flag == want.truncation_flag
+        for field in fields(SweepRow):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            if w is None or isinstance(w, (int, str)):
+                assert type(g) is type(w) and g == w, field.name
+            else:
+                assert g == pytest.approx(w, rel=1e-11, abs=0), field.name
 
 
 def test_csv_header_records_with_nz(tmp_path):
@@ -198,6 +201,24 @@ def test_load_config_parses_types(tmp_path):
         "k": 1, "l": 3, "alpha_p": 2.5, "dims": (10, 6, 16),
         "hierarchy": (1, 2), "with_nz": False, "out": "run.csv",
     }
+
+    # every SweepConfig key, each parsed as the type of its default
+    path.write_text(
+        "k = 2\nl = 1\nkappa = 0.5\nalpha_p = 3\ndims = 8 9 10\nxi_max = 1\n"
+        "xi_step = 0.25\nhierarchy = 2,1\nwith_nz = ON\ntol = 1e-7\n"
+        "convergence_step = 1, 0, 2\nout = sweep.csv\n",
+        encoding="utf-8",
+    )
+    values = load_config(str(path))
+    assert values.keys() == {f.name for f in fields(SweepConfig)}
+    assert values == {
+        "k": 2, "l": 1, "kappa": 0.5, "alpha_p": 3.0, "dims": (8, 9, 10),
+        "xi_max": 1.0, "xi_step": 0.25, "hierarchy": (2, 1), "with_nz": True,
+        "tol": 1e-7, "convergence_step": (1, 0, 2), "out": "sweep.csv",
+    }
+    for f in fields(SweepConfig):
+        want = str if f.default is None else type(f.default)
+        assert type(values[f.name]) is want, f.name
 
 
 def test_config_from_file_overrides(tmp_path):
@@ -502,15 +523,16 @@ def test_cli_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--dims", "4,5"])
-    assert exc.value.code == 2
+    # a bad flag value fails as a bad config value does: one error line naming its key
     monkeypatch.setattr(hocov.cli, "run_sweep", None)  # any work would raise
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--hierarchy", ","])
-    assert exc.value.code == 2
-    assert "argument --hierarchy: hierarchy must list at least one level" in capsys.readouterr().err
+    for flag, value, key in (("--dims", "4,5", "dims"), ("--hierarchy", ",", "hierarchy"),
+                             ("--k", "x", "k"), ("--tol", "abc", "tol")):
+        assert main(["sweep", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert "usage:" not in err
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
