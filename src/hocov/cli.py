@@ -46,19 +46,14 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
                      help="key=value parameter file; flags override it")
     sub.add_argument("--k", help="signal photon order")
     sub.add_argument("--l", help="idler photon order")
-    sub.add_argument("--kappa", help="coupling strength")
     sub.add_argument("--alpha-p", help="pump coherent amplitude")
     sub.add_argument("--dims", metavar="P,A,B", help="Fock truncations per mode")
-    sub.add_argument("--xi-max", help="largest xi = kappa t alpha_p")
+    sub.add_argument("--xi-max", help="largest xi on the grid")
     sub.add_argument("--xi-step", help="xi grid spacing")
     sub.add_argument("--hierarchy", metavar="1,2,3",
                      help="hierarchy levels n to evaluate")
     sub.add_argument("--with-nz", action="store_const", const="true",
                      help="also evaluate the variance-product comparator")
-    sub.add_argument("--tol",
-                     help="propagator accuracy target: largest eigen-residual "
-                          "of a charge-sector block, relative to max(1, its "
-                          "spectral radius)")
 
 
 def _build_config(args) -> SweepConfig:

@@ -35,41 +35,46 @@ TOP_LEVEL_GUARD = 1e-6
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Physical and numerical parameters of one sweep.
+    """The parameters of one sweep, each of which moves an output.
 
-    dims orders the truncation as (pump, A, B). xi runs from 0 to xi_max in
-    steps of xi_step; hierarchy lists the n values evaluated at each point.
-    with_nz adds the product-of-variances comparator (k=1, l=2 only).
+    dims orders the truncation as (pump, A, B). xi = kappa t alpha_p runs
+    from 0 to xi_max in steps of xi_step, so kappa cancels out of every
+    output and the sweep keeps the dynamics layer's kappa = 1; hierarchy
+    lists the n values evaluated at each point. with_nz adds the
+    product-of-variances comparator (k=1, l=2 only).
     Every value is checked here, before any evolution, with a message that
-    names its key: dims (three cutoffs >= 2), k and l (integers >= 1, not
-    both 1), kappa, alpha_p, tol and xi_step (positive and finite), xi_max
-    (nonnegative and finite), hierarchy (positive, no level twice),
-    convergence_step (three nonnegative increments), and the orders the
+    names its key: dims (three integer cutoffs >= 2), k and l (integers
+    >= 1, not both 1), alpha_p and xi_step (positive and finite), xi_max
+    (nonnegative and finite), hierarchy (positive integers, no level twice),
+    convergence_step (three nonnegative integers), and the orders the
     hierarchy needs (within the f_m table and below each mode's cutoff).
     """
 
     k: int = 1
     l: int = 2
-    kappa: float = 1.0
     alpha_p: float = 5.0
     dims: tuple[int, int, int] = (60, 26, 52)
     xi_max: float = 1.5
     xi_step: float = 0.02
     hierarchy: tuple[int, ...] = (1, 2, 3)
     with_nz: bool = False
-    tol: float = 1e-9
     convergence_step: tuple[int, int, int] = (4, 8, 16)
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("dims", "hierarchy", "convergence_step"):
+            values = tuple(getattr(self, name))
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in values):
+                raise ValueError(f"{name} must hold integers, got {values!r}")
         if len(self.dims) != 3:
             raise ValueError("dims must name (pump, A, B) truncations")
-        # k and l integers >= 1, kappa > 0 and every dim >= 2
-        InteractionSpec(ModeLayout(tuple(self.dims)), self.k, self.l, self.kappa)
+        # k and l integers >= 1 and every dim >= 2
+        InteractionSpec(ModeLayout(tuple(self.dims)), self.k, self.l)
         if self.k + self.l < 3:
             raise ValueError("k = l = 1 is the Gaussian classical-pump process; "
                              "the trilinear sweep needs k + l >= 3")
-        for name in ("alpha_p", "tol", "xi_step"):
+        for name in ("alpha_p", "xi_step"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -227,16 +232,11 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
     top-two-level population exceeds TOP_LEVEL_GUARD.
     """
     layout = ModeLayout(tuple(config.dims))
-    spec = InteractionSpec(layout, config.k, config.l, config.kappa)
+    spec = InteractionSpec(layout, config.k, config.l)
     # pump times vacuum A and B lies in sector l N_A - k N_B = 0, and H keeps it there
     hamiltonian = build_hamiltonian(spec, charge=0)
     grid = config.xi_grid()
-    evo = EvolutionConfig(
-        xi_grid=grid,
-        kappa=config.kappa,
-        alpha_p=config.alpha_p,
-        tol=config.tol,
-    )
+    evo = EvolutionConfig(xi_grid=grid, kappa=spec.kappa, alpha_p=config.alpha_p)
     states = evolve(_initial_state(config, layout), hamiltonian, evo)
     support = states[0].support
     amps = np.stack([state.amplitudes for state in states])
@@ -296,6 +296,15 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _config_text(value) -> str:
+    """A config value in the syntax _coerce reads back exactly."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(str, value))
+    return str(value) if isinstance(value, (int, np.integer)) else repr(float(value))
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Replace ``path`` with ``text`` through a temporary file in its directory.
 
@@ -325,21 +334,14 @@ def _atomic_write(path: str, text: str) -> None:
 def write_csv(result: SweepResult, path: str) -> None:
     """Serialize sweep rows with a parameter header, atomically.
 
-    The header's second line records the config as key=value pairs, with_nz
-    included; read_csv skips it.
+    The header's second line records every SweepConfig field but out as
+    key=value pairs in the config-file syntax, so it loads back as the
+    config that wrote it; read_csv skips it.
     """
     cfg = result.config
-    lines = [
-        "# higher-order covariance sweep",
-        "# k={} l={} alpha_p={} kappa={} dims={} xi_step={} xi_max={} "
-        "hierarchy={} tol={} with_nz={}".format(
-            cfg.k, cfg.l, _fmt(cfg.alpha_p), _fmt(cfg.kappa),
-            ",".join(str(d) for d in cfg.dims), _fmt(cfg.xi_step),
-            _fmt(cfg.xi_max), ",".join(str(n) for n in cfg.hierarchy),
-            _fmt(cfg.tol), "true" if cfg.with_nz else "false",
-        ),
-        _CSV_HEADER,
-    ]
+    params = " ".join(f"{f.name}={_config_text(getattr(cfg, f.name))}"
+                      for f in fields(SweepConfig) if f.name != "out")
+    lines = ["# higher-order covariance sweep", "# " + params, _CSV_HEADER]
     for row in result.rows:
         lines.append(",".join(map(_fmt, _row_values(row))))
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -8,17 +8,19 @@ reference sweeps (detection windows, hierarchy ordering, order
 competition), the constructive separability transform, and the
 mirror-reflection invariant algebra.
 
-One more check pins the verdict and truncation flag of every grid point
-of the three reference sweeps.
+Two more checks pin the verdict and truncation flag of every grid point
+of the three reference sweeps, and read each sweep's CSV header back as
+the config that wrote it.
 
 Each numbered test prints one summary line (visible with pytest -s); the
 per-test PASSED/FAILED line of pytest -v is the machine-readable verdict. The
 sweep-backed checks share module-scoped fixtures, so the first of them
 pays the evolution cost. The convergence check re-runs a subsample at
-boosted truncations and dominates the runtime (about ten minutes).
+boosted truncations and dominates the runtime.
 """
 
 import math
+from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
 
@@ -51,7 +53,7 @@ from hocov import (
 )
 from hocov.covariance import HigherOrderCovariance
 from hocov.quadratures import f_polynomial
-from hocov.sweep import config_from_file, convergence_check, run_sweep
+from hocov.sweep import config_from_file, convergence_check, run_sweep, write_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BAND = 1e-9
@@ -357,6 +359,18 @@ def test_reference_verdicts_and_flags_are_pinned(window_sweep, hierarchy_sweep,
         assert [r.xi for r in rows] == list(sweeps[name].xi_grid), (name, n)
         assert _runs(r.verdict for r in rows) == verdicts, (name, n)
         assert _runs(r.truncation_flag for r in rows) == [("ok", len(rows))], (name, n)
+
+
+def test_reference_csv_headers_read_back_as_their_configs(window_sweep, hierarchy_sweep,
+                                                          competition_sweep, tmp_path):
+    for result in (window_sweep, hierarchy_sweep, competition_sweep):
+        csv, cfg = tmp_path / "sweep.csv", tmp_path / "header.cfg"
+        write_csv(result, str(csv))
+        pairs = csv.read_text(encoding="utf-8").splitlines()[1].removeprefix("# ").split()
+        cfg.write_text("\n".join(pairs) + "\n", encoding="utf-8")
+        assert config_from_file(str(cfg)) == replace(result.config, out=None)
+    # competition's alpha_p = sqrt(10) comes back to the last bit
+    assert "alpha_p=3.1622776601683795" in pairs
 
 
 def test_09_separable_transform_saturates():

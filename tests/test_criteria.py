@@ -195,6 +195,8 @@ def test_nha_zubairy_vacuum_and_guard():
     assert nha_zubairy(vacuum_state(lay)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         nha_zubairy(vacuum_state(ModeLayout((4, 5, 2))))
+    with pytest.raises(ValueError, match="got n=2, k=1, l=2"):
+        nz_values(build_covariance(vacuum_state(lay), 2, 1, 2))
 
 
 def test_nha_zubairy_detects_downconversion():

@@ -235,6 +235,8 @@ def test_builder_validation():
         build_hamiltonian(InteractionSpec(ModeLayout((4, 4)), k=1, l=2))
     with pytest.raises(ValueError):
         build_hamiltonian(InteractionSpec(ModeLayout((4, 3, 8)), k=3, l=2))
+    with pytest.raises(ValueError, match="l=2 exceeds mode-B cutoff 2"):
+        build_hamiltonian(InteractionSpec(ModeLayout((4, 4, 2)), k=1, l=2))
     with pytest.raises(ValueError):
         InteractionSpec(lay3, k=0, l=2)
     with pytest.raises(ValueError):

@@ -145,6 +145,8 @@ def test_coherent_state_poisson_populations():
     a = annihilation(dim)
     resid = a @ vec - alpha * vec
     assert np.abs(resid[: dim - 5]).max() < 1e-9
+    # alpha = 0 is the vacuum
+    assert np.array_equal(coherent_state(0, dim), np.eye(dim, dtype=complex)[0])
 
 
 def test_coherent_state_far_below_its_mean_stays_finite():

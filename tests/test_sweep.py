@@ -127,7 +127,8 @@ def test_csv_determinism_and_roundtrip(tmp_path):
     assert "k=1 l=2" in lines[1]
     assert lines[2].startswith("n,k,l,xi,nu_minus")
 
-    assert lines[1].endswith(" with_nz=false")
+    assert lines[1] == ("# k=1 l=2 alpha_p=1.0 dims=12,6,11 xi_max=0.06 xi_step=0.03 "
+                        "hierarchy=1,2 with_nz=false convergence_step=4,8,16")
 
     rows = read_csv(str(p1))
     assert len(rows) == len(result.rows)
@@ -204,17 +205,17 @@ def test_load_config_parses_types(tmp_path):
 
     # every SweepConfig key, each parsed as the type of its default
     path.write_text(
-        "k = 2\nl = 1\nkappa = 0.5\nalpha_p = 3\ndims = 8 9 10\nxi_max = 1\n"
-        "xi_step = 0.25\nhierarchy = 2,1\nwith_nz = ON\ntol = 1e-7\n"
+        "k = 2\nl = 1\nalpha_p = 3\ndims = 8 9 10\nxi_max = 1\n"
+        "xi_step = 0.25\nhierarchy = 2,1\nwith_nz = ON\n"
         "convergence_step = 1, 0, 2\nout = sweep.csv\n",
         encoding="utf-8",
     )
     values = load_config(str(path))
     assert values.keys() == {f.name for f in fields(SweepConfig)}
     assert values == {
-        "k": 2, "l": 1, "kappa": 0.5, "alpha_p": 3.0, "dims": (8, 9, 10),
+        "k": 2, "l": 1, "alpha_p": 3.0, "dims": (8, 9, 10),
         "xi_max": 1.0, "xi_step": 0.25, "hierarchy": (2, 1), "with_nz": True,
-        "tol": 1e-7, "convergence_step": (1, 0, 2), "out": "sweep.csv",
+        "convergence_step": (1, 0, 2), "out": "sweep.csv",
     }
     for f in fields(SweepConfig):
         want = str if f.default is None else type(f.default)
@@ -244,17 +245,17 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("bad,match", [
-    (dict(kappa=0.0), "kappa must be positive"),
-    (dict(kappa=float("nan")), "kappa must be positive"),
+    (dict(hierarchy=(1.5,)), r"hierarchy must hold integers, got \(1\.5,\)"),
+    (dict(convergence_step=(4, 8.5, 16)), "convergence_step must hold integers"),
     (dict(alpha_p=-5.0), "alpha_p must be positive"),
-    (dict(tol=0.0), "tol must be positive"),
+    (dict(dims=(12, 6.5, 11)), "dims must hold integers"),
     (dict(k=0), "k must be an integer >= 1"),
     (dict(k=1, l=1, hierarchy=(1,)), r"k \+ l >= 3"),
     (dict(hierarchy=(1, 1)), "hierarchy lists a level twice"),
     (dict(convergence_step=(4, -1, 16)), "convergence_step must be three nonnegative"),
-    (dict(kappa=float("inf")), "kappa must be positive and finite, got inf"),
+    (dict(hierarchy=("1",)), "hierarchy must hold integers"),
     (dict(alpha_p=float("inf")), "alpha_p must be positive and finite, got inf"),
-    (dict(tol=float("inf")), "tol must be positive and finite, got inf"),
+    (dict(dims=(12.0, 6, 11)), "dims must hold integers"),
     (dict(xi_step=float("nan")), "xi_step must be positive and finite, got nan"),
     (dict(xi_step=float("inf")), "xi_step must be positive and finite, got inf"),
     (dict(xi_max=float("nan")), "xi_max must be nonnegative and finite, got nan"),
@@ -267,11 +268,11 @@ def test_config_refuses_each_bad_key(bad, match):
 
 @pytest.mark.parametrize("command", ["sweep", "check"])
 def test_cli_reports_a_refused_config_as_usage_error(tmp_path, capsys, command):
-    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg", kappa=0.0)
+    cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg", alpha_p=0.0)
     out = tmp_path / "out.txt"
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: kappa must be positive")
+    assert err.startswith("error: alpha_p must be positive")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -281,8 +282,6 @@ def test_cli_reports_a_refused_config_as_usage_error(tmp_path, capsys, command):
     ("--xi-max", "nan", "xi_max"),
     ("--xi-max", "inf", "xi_max"),
     ("--alpha-p", "inf", "alpha_p"),
-    ("--kappa", "inf", "kappa"),
-    ("--tol", "inf", "tol"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "check"])
 def test_cli_refuses_a_non_finite_value_before_any_work(tmp_path, capsys, monkeypatch,
@@ -296,6 +295,31 @@ def test_cli_refuses_a_non_finite_value_before_any_work(tmp_path, capsys, monkey
     assert err.startswith(f"error: {key} must be ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_kappa_and_tol_are_not_sweep_settings(tmp_path, capsys, monkeypatch):
+    # xi = kappa t alpha_p, so kappa cancels out of every output, and the
+    # propagator's residual guard is EvolutionConfig's own
+    assert [f.name for f in fields(SweepConfig)] == [
+        "k", "l", "alpha_p", "dims", "xi_max", "xi_step", "hierarchy", "with_nz",
+        "convergence_step", "out"]
+    monkeypatch.setattr(hocov.cli, "run_sweep", None)  # any work would raise
+    monkeypatch.setattr(hocov.cli, "convergence_check", None)
+    capsys.readouterr()
+    for command in ("sweep", "check"):
+        for key in ("kappa", "tol"):
+            cfg_path = write_tiny_cfg(tmp_path / "tiny.cfg", **{key: 1.0})
+            assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: {cfg_path}:8: unknown key {key!r}\n"
+            with pytest.raises(SystemExit) as exc:
+                main([command, f"--{key}", "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        assert "kappa" not in help_text and "--tol" not in help_text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
 
 
 def test_cli_reports_a_missing_config_and_a_bad_stride(tmp_path, capsys):
@@ -527,7 +551,7 @@ def test_cli_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr(hocov.cli, "run_sweep", None)  # any work would raise
     capsys.readouterr()
     for flag, value, key in (("--dims", "4,5", "dims"), ("--hierarchy", ",", "hierarchy"),
-                             ("--k", "x", "k"), ("--tol", "abc", "tol")):
+                             ("--k", "x", "k"), ("--xi-step", "abc", "xi_step")):
         assert main(["sweep", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -624,6 +648,15 @@ def test_outputs_get_the_mode_a_plain_open_would_give(tmp_path, umask):
     assert stat.S_IMODE(old.stat().st_mode) == 0o640
     assert old.read_text(encoding="utf-8") == "fresh\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "old.txt"]
+
+
+def test_a_failed_atomic_write_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        hocov.sweep._atomic_write(str(target), "rows\n")
+    assert target.is_dir() and not any(target.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_cli_plotdata(tmp_path, capsys):
