@@ -19,10 +19,11 @@ disjoint blocks: from |n0>_P |0,0> a state only ever visits the chain
 l N_A - k N_B = q, and ``build_hamiltonian(spec, charge=q)`` writes the rows
 of H_q only; the sweep starts in sector 0 and builds H_0 (6,490 of H's
 713,900 nonzeros on window.cfg). H_q leaves a state outside sector q frozen,
-without an error. Evolution is for pure states (a coherent pump and vacuum
-signal and idler stay pure): it walks the graph from the state's support,
-labelling the blocks it reaches as it goes, and diagonalizes each block once.
-It projects the initial amplitudes onto each block once and forms every grid
+without an error. The builders return H as a CSR triple of numpy arrays,
+and evolution reads that triple, so this module needs no scipy. Evolution is
+for pure states (a coherent pump and vacuum signal and idler stay pure): it
+walks the graph from the state's support, labelling the blocks it reaches as
+it goes, and diagonalizes each block once. It projects the initial amplitudes onto each block once and forms every grid
 point exactly as psi(t) = V exp(-i Lambda t) V+ psi0, in one (times x block
 size) product per block. There is no time stepper, so the result does not
 depend on the grid spacing. The evolved states hold amplitudes on the
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .fock import ModeLayout, QuantumState, TruncatedOperator, shift
 
@@ -78,8 +78,9 @@ class InteractionSpec:
 
 
 def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float,
-              rows: np.ndarray | None = None) -> sparse.csr_matrix:
-    """CSR matrix of i*coupling*(U - U+) on the sorted ``rows`` (all rows when None).
+              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR triple (values, indices, indptr) of i*coupling*(U - U+) on the
+    sorted ``rows`` (all rows when None).
 
     U is the product of truncated ladder powers ``shifts`` (``fock.shift``),
     a flat index shift r -> r + t, and ``rows`` must be closed under U and
@@ -95,7 +96,7 @@ def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float,
     bands = [(target, source, coupling * weight), (source, target, -coupling * weight)]
     if source.size and target[0] < source[0]:
         bands.reverse()  # t < 0: column i + t comes first in each row
-    # the index dtype scipy would pick, so the arrays are not copied
+    # the index dtype scipy would pick, so its view does not copy them
     itype = np.int32 if 2 * n < 2**31 else np.int64
     indptr = np.zeros(n + 1, dtype=itype)
     for row, _, _ in bands:
@@ -108,7 +109,7 @@ def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float,
         pos = indptr[row] if first else indptr[row + 1] - 1
         data.imag[pos] = value
         indices[pos] = column
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return data, indices, indptr
 
 
 def _charge_rows(layout: ModeLayout, k: int, l: int, charge: int) -> np.ndarray:
@@ -202,16 +203,17 @@ class EvolutionConfig:
         return np.asarray(self.xi_grid) / (self.kappa * self.alpha_p)
 
 
-def _stored(h: sparse.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in h.data/h.indices of the stored entries of ``rows``, and
-    the number each row holds, in one gather."""
-    start = h.indptr[rows]
-    count = h.indptr[rows + 1] - start
+def _stored(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a CSR triple's values and indices of the stored entries
+    of ``rows``, and the number each row holds, in one gather."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count), count
 
 
-def _sector_blocks(h: sparse.csr_matrix, support: np.ndarray, tol: float) -> list:
-    """(indices, eigenvalues, eigenvectors) of every block of h meeting ``support``.
+def _sector_blocks(csr: tuple, support: np.ndarray, tol: float) -> list:
+    """(indices, eigenvalues, eigenvectors) of every block of the CSR triple
+    (values, indices, indptr) of h meeting ``support``.
 
     Blocks are the connected components of h's sparsity graph; the others
     never exchange amplitude with the state and are skipped. The walk labels
@@ -220,31 +222,37 @@ def _sector_blocks(h: sparse.csr_matrix, support: np.ndarray, tol: float) -> lis
     rows whose label just fell, until no label falls. A block then carries
     the smallest support index in it, and the cost follows the blocks, not h.
     """
-    n = h.shape[0]
-    label = np.full(n, n, dtype=h.indices.dtype)  # n: not reached
+    values, indices, indptr = csr
+    n = len(indptr) - 1
+    label = np.full(n, n, dtype=indices.dtype)  # n: not reached
     label[support] = support
     fell = support
     while fell.size:
-        pos, count = _stored(h, fell)
-        nbr = h.indices[pos]
+        pos, count = _stored(indptr, fell)
+        nbr = indices[pos]
         before = label[nbr]
         np.minimum.at(label, nbr, np.repeat(label[fell], count))
-        fell = np.unique(nbr[label[nbr] < before])
+        # sort and drop repeats as np.unique does, without the numpy.ma
+        # import that np.unique makes on first use
+        fell = np.sort(nbr[label[nbr] < before])
+        keep = np.ones(fell.size, dtype=bool)
+        np.not_equal(fell[1:], fell[:-1], out=keep[1:])
+        fell = fell[keep]
     idx = np.flatnonzero(label < n)
     idx = idx[np.argsort(label[idx], kind="stable")]
     bounds = np.flatnonzero(np.diff(label[idx], prepend=-1, append=-1))
     # idx[i]'s stored entries are pos[ends[i]:ends[i + 1]], so each block's
     # entries form one run
-    pos, count = _stored(h, idx)
+    pos, count = _stored(indptr, idx)
     ends = np.concatenate(([0], np.cumsum(count)))
     row = np.repeat(np.arange(idx.size), count)
     label[idx] = np.arange(idx.size)  # from here on: position in idx
-    col = label[h.indices[pos]]
+    col = label[indices[pos]]
     blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         run = slice(ends[lo], ends[hi])
         hb = np.zeros((hi - lo, hi - lo), dtype=complex)
-        np.add.at(hb, (row[run] - lo, col[run] - lo), h.data[pos[run]])
+        np.add.at(hb, (row[run] - lo, col[run] - lo), values[pos[run]])
         lam, vec = np.linalg.eigh(hb)
         residual = float(np.abs(hb @ vec - vec * lam).max())
         if residual > tol * max(1.0, float(np.abs(lam).max())):
@@ -277,7 +285,7 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
     norm = float(np.linalg.norm(state.amplitudes))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"evolve needs a normalized state; its norm is {norm:.12f}")
-    blocks = _sector_blocks(hamiltonian.data, state.support, config.tol)
+    blocks = _sector_blocks(hamiltonian.csr, state.support, config.tol)
     support = np.sort(np.concatenate([idx for idx, _, _ in blocks]))
     # the walk starts from the state's support, so every index it holds lies in a block
     x = np.zeros(support.size, dtype=complex)

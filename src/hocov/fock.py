@@ -23,15 +23,20 @@ the modes' integer factors. ``shift`` is that rule, and ``occupations``
 reads a mode's level off a flat index; the Hamiltonian's bands and the
 covariance's ladder powers are both built from them. ``annihilation`` and
 ``embed`` form the same operators as matrices, as an independent reference.
+
+An operator on the full space is a ``TruncatedOperator``, held as a CSR
+triple of numpy arrays. Only the operator reference layer (``embed`` and an
+operator's ``data``, its scipy view) imports scipy, and only when it runs, so
+``import hocov`` and the sweep load numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 
 class TruncationError(ValueError):
@@ -53,6 +58,9 @@ class ModeLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        for d in self.dims:
+            if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
+                raise ValueError(f"every mode dim must be an integer, got {d!r} in {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         if len(dims) not in (2, 3):
             raise ValueError(f"layout needs 2 or 3 modes, got {len(dims)}")
@@ -81,25 +89,57 @@ class ModeLayout:
         return 2 if self.nmodes == 3 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TruncatedOperator:
-    """A sparse operator on the full truncated space."""
+    """A sparse operator on the full truncated space.
+
+    ``csr`` holds the (n, n) matrix as a CSR triple (values, indices, indptr)
+    of numpy arrays: row r stores values[indptr[r]:indptr[r + 1]] at columns
+    indices[indptr[r]:indptr[r + 1]]. ``matrix`` is that triple or a scipy
+    sparse matrix, whose CSR arrays become the triple. ``data`` is the scipy
+    CSR view: the given matrix (in CSR form) when one was given, else built
+    from the triple on first access and kept.
+    """
 
     layout: ModeLayout
-    data: sparse.csr_matrix
-    hermitian: bool = False
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray]
+    hermitian: bool
 
-    def __post_init__(self):
+    def __init__(self, layout: ModeLayout, matrix, hermitian: bool = False):
+        n = layout.total_dim
+        if isinstance(matrix, tuple):
+            values, indices, indptr = (np.asarray(a) for a in matrix)
+        else:
+            if matrix.shape != (n, n):
+                raise ValueError(f"operator shape {matrix.shape} != layout dim {n}")
+            matrix = matrix.tocsr()  # a CSR matrix is kept as it is, not copied
+            self.__dict__["data"] = matrix
+            values, indices, indptr = matrix.data, matrix.indices, matrix.indptr
+        if indptr.shape != (n + 1,):
+            raise ValueError(f"indptr has {indptr.size} entries; the layout's n = {n} needs n + 1")
+        if not values.shape == indices.shape == (indptr[-1],):
+            raise ValueError(f"values and indices hold {values.size} and {indices.size} entries; "
+                             f"indptr stores {indptr[-1]}")
+        if indices.size and not 0 <= indices.min() <= indices.max() < n:
+            raise ValueError(f"column indices must lie in [0, n) with the layout's n = {n}")
+        for name, value in (("layout", layout), ("csr", (values, indices, indptr)),
+                            ("hermitian", hermitian)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def data(self):
+        """The scipy ``csr_matrix`` view of the operator."""
+        from scipy import sparse
+
         n = self.layout.total_dim
-        if self.data.shape != (n, n):
-            raise ValueError(f"operator shape {self.data.shape} != layout dim {n}")
+        return sparse.csr_matrix(self.csr, shape=(n, n))
 
     def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.layout, self.data.conj().T.tocsr(), self.hermitian)
+        return TruncatedOperator(self.layout, self.data.conj().T, self.hermitian)
 
     def __matmul__(self, other):
         if isinstance(other, TruncatedOperator):
-            return TruncatedOperator(self.layout, (self.data @ other.data).tocsr())
+            return TruncatedOperator(self.layout, self.data @ other.data)
         return self.data @ other
 
 
@@ -256,6 +296,8 @@ def embed(op: np.ndarray, mode: int, layout: ModeLayout) -> TruncatedOperator:
     op = np.asarray(op)
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match mode dim {d}")
+    from scipy import sparse
+
     full = sparse.csr_matrix(op)
     for m, dm in enumerate(layout.dims):
         if m == mode:

@@ -9,6 +9,9 @@ construction against the exact ladder identity
     f_m(N) = [ (N+1)(N+2)...(N+m) - N(N-1)...(N-m+1) ] / 2
 
 evaluated in integer arithmetic; any mismatch aborts with a diagnostic.
+
+The embedded Q^m, P^m come from ``fock.embed`` and so load scipy when first
+built; ``f_operator`` is a diagonal CSR triple and needs numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .fock import ModeLayout, QuantumState, TruncatedOperator, annihilation, embed
 
@@ -169,7 +171,9 @@ def f_operator(layout: ModeLayout, mode: int, m: int) -> TruncatedOperator:
     diag = np.ones(1)
     for i, d in enumerate(layout.dims):
         diag = np.kron(diag, diag_single if i == mode else np.ones(d))
-    return TruncatedOperator(layout, sparse.diags(diag).tocsr(), hermitian=True)
+    # f_m(N) >= m!/2 > 0, so every diagonal entry is stored
+    rows = np.arange(layout.total_dim + 1, dtype=np.int32)
+    return TruncatedOperator(layout, (diag, rows[:-1], rows), hermitian=True)
 
 
 def expectation(op, state: QuantumState) -> complex:

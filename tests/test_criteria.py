@@ -358,13 +358,24 @@ def test_lemma2_without_admissible_root_raises():
         lemma2_transform(sf)
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_and_sweep_load_numpy_only(tmp_path):
+    # the sweep, its CSV and the convergence check run on numpy alone: after
+    # the import they load no scipy module and no numpy submodule
     src = str(Path(hocov.__file__).resolve().parents[1])
-    code = ("import sys, hocov; "
-            "print([m for m in ('scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+    code = (
+        "import sys, hocov\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        "loaded = set(sys.modules)\n"
+        "cfg = hocov.SweepConfig(k=1, l=2, alpha_p=1.0, dims=(12, 6, 11), xi_max=0.06,\n"
+        "                        xi_step=0.03, hierarchy=(1, 2))\n"
+        "hocov.write_csv(hocov.run_sweep(cfg, keep_states=False), sys.argv[1])\n"
+        "hocov.convergence_check(cfg, stride=1)\n"
+        "print(sorted(m for m in set(sys.modules) - loaded if m.startswith(('scipy', 'numpy.'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tiny.csv")],
+                         env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_lemma2_rejects_negative_detc():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -11,6 +13,7 @@ from hocov import (
     InteractionSpec,
     ModeLayout,
     QuantumState,
+    TruncatedOperator,
     annihilation,
     build_classical_pump_hamiltonian,
     build_hamiltonian,
@@ -76,6 +79,49 @@ def test_classical_pump_matches_kronecker_construction(dims):
     spec = InteractionSpec(ModeLayout(dims), k=1, l=1, kappa=0.8)
     assert_same_operator(build_classical_pump_hamiltonian(spec, 2.5).data,
                          kronecker_hamiltonian(spec, alpha_p=2.5))
+
+
+class WrappedMatrix(sparse.csr_matrix):
+    """A scipy CSR subclass, as a caller that wraps H's matrix builds one."""
+
+
+@pytest.mark.parametrize("charge,digest", [(None, "f956f1d181fcf113"), (0, "4cd92c0ede91ae74")])
+def test_operator_rebuilt_around_a_csr_subclass_evolves_the_same(charge, digest):
+    lay = ModeLayout((6, 5, 9))
+    n = lay.total_dim
+    h = build_hamiltonian(InteractionSpec(lay, k=1, l=2, kappa=1.7), charge=charge)
+    view = h.data
+    assert type(view) is sparse.csr_matrix and view.shape == (n, n) and h.data is view
+    # the digest of the arrays H held when the builders returned a scipy
+    # matrix: the view is the same H, bit for bit
+    sha = hashlib.sha256()
+    for a in (view.indptr, view.indices, view.data):
+        sha.update(a.dtype.str.encode())
+        sha.update(a.tobytes())
+    assert sha.hexdigest()[:16] == digest
+    wrapped = WrappedMatrix(view)
+    rebuilt = type(h)(h.layout, wrapped, h.hermitian)
+    assert rebuilt.data is wrapped
+    psi0 = product_state(lay, coherent_state(1.0, 6), np.eye(5)[:, 0], np.eye(9)[:, 0])
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.2, 0.45), kappa=1.7, alpha_p=1.0)
+    for a, b in zip(evolve(psi0, h, cfg), evolve(psi0, rebuilt, cfg), strict=True):
+        assert np.array_equal(a.support, b.support)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def test_operator_refuses_a_csr_triple_that_does_not_fit_its_layout():
+    lay = ModeLayout((3, 4))
+    values, indices, indptr = np.ones(3), np.array([0, 5, 11]), np.array([0, 1, 2, 3] + [3] * 9)
+    TruncatedOperator(lay, (values, indices, indptr))
+    with pytest.raises(ValueError, match=r"indptr has 12 entries; the layout's n = 12 needs n \+ 1"):
+        TruncatedOperator(lay, (values, indices, indptr[:-1]))
+    with pytest.raises(ValueError, match=r"values and indices hold 2 and 3 entries; indptr stores 3"):
+        TruncatedOperator(lay, (values[:2], indices, indptr))
+    for bad in (12, -1):
+        with pytest.raises(ValueError, match=r"column indices must lie in \[0, n\) with the layout's n = 12"):
+            TruncatedOperator(lay, (values, np.array([0, 5, bad]), indptr))
+    with pytest.raises(ValueError, match=r"operator shape \(12, 13\) != layout dim 12"):
+        TruncatedOperator(lay, sparse.csr_matrix((12, 13)))
 
 
 def fock_charges(lay, k, l):
@@ -190,7 +236,7 @@ def test_support_walk_finds_the_blocks_of_whole_graph_labelling():
             np.array([rng.integers(n)]),
         ]
         for support in supports:
-            blocks = _sector_blocks(h, support, 1e-9)
+            blocks = _sector_blocks((h.data, h.indices, h.indptr), support, 1e-9)
             assert {tuple(np.sort(idx)) for idx, _, _ in blocks} == whole_graph_blocks(h, support)
             for idx, lam, vec in blocks:
                 hb = h[idx][:, idx].toarray()
@@ -201,7 +247,7 @@ def test_support_walk_on_the_interaction():
     lay, h = trilinear_setup(dims=(7, 6, 11), k=1, l=2)
     pump = coherent_state(1.1, 7)
     psi0 = product_state(lay, pump, np.eye(6, dtype=complex)[:, 0], np.eye(11, dtype=complex)[:, 0])
-    blocks = _sector_blocks(h.data, psi0.support, 1e-9)
+    blocks = _sector_blocks(h.csr, psi0.support, 1e-9)
     assert {tuple(np.sort(idx)) for idx, _, _ in blocks} == whole_graph_blocks(h.data, psi0.support)
     # one chain |n0 - j, j, 2j> per pump number, cut by the A and B cutoffs
     assert sorted(len(idx) for idx, _, _ in blocks) == sorted(min(n0, 5) + 1 for n0 in range(7))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -103,6 +104,12 @@ def test_layout_validation():
     two = ModeLayout((4, 5))
     assert (two.mode_a, two.mode_b) == (0, 1)
     assert two.pump is None
+    # a dim that is not an integer is refused, not truncated
+    for dims, bad in (((12, 6.5, 11), "6.5"), (("12", 6, 11), "'12'"), ((12, True, 11), "True"),
+                      ((12.0, 6, 11), "12.0")):
+        with pytest.raises(ValueError, match=rf"must be an integer, got {re.escape(bad)} in"):
+            ModeLayout(dims)
+    assert ModeLayout((np.int64(4), 5)).dims == (4, 5)
 
 
 def test_embed_index_convention():
