@@ -82,19 +82,20 @@ class HigherOrderCovariance:
     l: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float)
         if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise ValueError(f"covariance must be (4, 4) or a (T, 4, 4) stack, got {m.shape}")
-        mt = np.swapaxes(m, -1, -2)
-        # symmetric to numpy's allclose tolerance with atol=1e-10, per member
-        symmetric = (np.abs(m - mt) <= 1e-10 + 1e-5 * np.abs(mt)).all(axis=(-2, -1))
+        mt = m.swapaxes(-1, -2)
+        # symmetric to numpy's allclose tolerance with atol=1e-10; the members
+        # are looked at one by one only to name a failing row (NaN fails too)
+        gap = abs(m - mt) - abs(mt) * 1e-5
+        if not gap.max() <= 1e-10:
+            _refuse((gap <= 1e-10).all(axis=(-2, -1)), "covariance must be symmetric")
         f = np.array([self.f_ka, self.f_lb], dtype=float).reshape((2,) + m.shape[:-2])
-        for ok, message in ((symmetric, "covariance must be symmetric"),
-                            ((f > 0).all(axis=0), "commutator expectations must be positive")):
-            if not ok.all():
-                raise ValueError(message + (f" (row {np.argmin(ok)})" if m.ndim == 3 else ""))
+        if not f.min() > 0:
+            _refuse((f > 0).all(axis=0), "commutator expectations must be positive")
         fm = np.array(self.first_moments, dtype=float).reshape(m.shape[:-1])
-        for name, value in (("matrix", (m + mt) / 2.0), ("f_ka", f[0]), ("f_lb", f[1]),
+        for name, value in (("matrix", (m + mt) * 0.5), ("f_ka", f[0]), ("f_lb", f[1]),
                             ("first_moments", fm)):
             if isinstance(value, np.ndarray):  # a single covariance's f is a numpy scalar
                 value.flags.writeable = False
@@ -130,6 +131,12 @@ class HigherOrderCovariance:
         om[..., 0, 1], om[..., 1, 0] = self.f_ka, -self.f_ka
         om[..., 2, 3], om[..., 3, 2] = self.f_lb, -self.f_lb
         return om
+
+
+def _refuse(ok: np.ndarray, message: str) -> None:
+    """Raise ValueError with ``message``, naming the first failing row when
+    ``ok`` holds one flag per member of a stack."""
+    raise ValueError(message + (f" (row {np.argmin(ok)})" if ok.ndim else ""))
 
 
 def _require_rank(cov: HigherOrderCovariance, stack: bool, caller: str) -> None:

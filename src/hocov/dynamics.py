@@ -1,4 +1,4 @@
-"""Interaction Hamiltonians and exact block time evolution.
+"""Interaction Hamiltonians and exact chain time evolution.
 
 The nonlinear interaction (hbar = 1) is
 
@@ -13,22 +13,27 @@ negative. The builders write those CSR arrays row by row from the ladder
 powers of ``fock.shift``, whose module docstring states the truncation
 convention; the classical pump is the same two bands with the shifts (1, 1).
 
-H conserves k N_P + N_A and l N_A - k N_B, so its sparsity graph splits into
-disjoint blocks: from |n0>_P |0,0> a state only ever visits the chain
-|n0 - j, k j, l j>. H is the direct sum of its charge blocks H_q on
-l N_A - k N_B = q, and ``build_hamiltonian(spec, charge=q)`` writes the rows
-of H_q only; the sweep starts in sector 0 and builds H_0 (6,490 of H's
-713,900 nonzeros on window.cfg). H_q leaves a state outside sector q frozen,
-without an error. The builders return H as a CSR triple of numpy arrays,
-and evolution reads that triple, so this module needs no scipy. Evolution is
-for pure states (a coherent pump and vacuum signal and idler stay pure): it
-walks the graph from the state's support, labelling the blocks it reaches as
-it goes, and diagonalizes each block once. It projects the initial amplitudes onto each block once and forms every grid
-point exactly as psi(t) = V exp(-i Lambda t) V+ psi0, in one (times x block
-size) product per block. There is no time stepper, so the result does not
-depend on the grid spacing. The evolved states hold amplitudes on the
-reached blocks only (1,820 of 376,320 states on window.cfg); no full-space
-vector is formed.
+H conserves k N_P + N_A and l N_A - k N_B, so from |n0>_P |0,0> a state
+only ever visits the chain |n0 - j, k j, l j>. H is the direct sum of its
+charge blocks H_q on l N_A - k N_B = q, and ``build_hamiltonian(spec,
+charge=q)`` writes the rows of H_q only; the sweep starts in sector 0 and
+builds H_0 (6,490 of H's 713,900 nonzeros on window.cfg). H_q leaves a state
+outside sector q frozen, without an error. The builders return H as a CSR
+triple of numpy arrays, and evolution reads that triple, so this module
+needs no scipy.
+
+Evolution is for pure states (a coherent pump and vacuum signal and idler
+stay pure) and reads H as the set of chains it is: every stored entry sits
+at (r, r +- s) for one offset s, so ordering the indices by (r mod s,
+r div s) lays each chain out as one run in path order, and an operator with
+a second offset is refused. Only the chains that meet the state's support
+are kept (60 chains, 1,820 of 376,320 states on window.cfg). A diagonal
+phase gauge makes each chain a real symmetric tridiagonal T with zero
+diagonal, whose links join even sites to odd ones, T = [[0, B], [B^T, 0]];
+one batched SVD of the bidiagonals B, padded with zero links to one length,
+gives every chain's exp(-i T t) in closed form, and batched real products
+form every grid point. There is no time stepper, so the result does not
+depend on the grid spacing, and no full-space vector is formed.
 """
 
 from __future__ import annotations
@@ -41,14 +46,15 @@ import numpy as np
 from .fock import ModeLayout, QuantumState, TruncatedOperator, shift
 
 NORM_TOL = 1e-8  # largest drift of an evolved state's norm from 1
+GRID_CHUNK = 16  # grid points propagated at once; bounds evolve's padded (C, L, points) arrays
 
 
 class IntegratorError(RuntimeError):
     """Raised when evolution misses its accuracy target.
 
-    ``residual`` is a block's eigen-residual max |H_b V - V Lambda| when it
-    exceeds tol * max(1, max |Lambda|), or an evolved state's norm drift
-    when that exceeds NORM_TOL.
+    ``residual`` is a chain's singular-value residual max |B V - U Sigma|
+    when it exceeds tol * max(1, max Sigma), or an evolved state's norm
+    drift when that exceeds NORM_TOL.
     """
 
     def __init__(self, message: str, residual: float | None = None):
@@ -177,9 +183,11 @@ class EvolutionConfig:
     """Grid and tolerances for a trajectory.
 
     xi_grid must be strictly increasing and start at 0; times are
-    t_j = xi_j / (kappa * alpha_p). tol bounds each block's eigen-residual
-    max |H_b V - V Lambda| relative to max(1, max |Lambda|); the norm drift
-    of every evolved state is held to the module's NORM_TOL.
+    t_j = xi_j / (kappa * alpha_p). tol bounds each chain's singular-value
+    residual max |B V - U Sigma| relative to max(1, max Sigma), where
+    B = U Sigma V^T is the chain's bidiagonal of even -> odd links and max
+    Sigma is the chain's spectral norm; the norm drift of every evolved
+    state is held to the module's NORM_TOL.
     """
 
     xi_grid: tuple[float, ...]
@@ -203,80 +211,107 @@ class EvolutionConfig:
         return np.asarray(self.xi_grid) / (self.kappa * self.alpha_p)
 
 
-def _stored(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in a CSR triple's values and indices of the stored entries
-    of ``rows``, and the number each row holds, in one gather."""
-    start = indptr[rows]
-    count = indptr[rows + 1] - start
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count), count
 
 
-def _sector_blocks(csr: tuple, support: np.ndarray, tol: float) -> list:
-    """(indices, eigenvalues, eigenvectors) of every block of the CSR triple
-    (values, indices, indptr) of h meeting ``support``.
+def _chains(csr: tuple, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and links of the chains of the CSR triple (values, indices,
+    indptr) of h that meet ``support``, padded to one even length L.
 
-    Blocks are the connected components of h's sparsity graph; the others
-    never exchange amplitude with the state and are skipped. The walk labels
-    while it goes: each support index starts with its own index as label,
-    and every step pushes the smaller label across the stored entries of the
-    rows whose label just fell, until no label falls. A block then carries
-    the smallest support index in it, and the cost follows the blocks, not h.
+    Every stored entry must sit at (r, r + s) or (r, r - s) for one offset
+    s > 0, so h's sparsity graph is a set of paths r, r + s, r + 2s, ...;
+    any other operator is refused with ValueError. ``nodes`` (C, L) holds
+    each chain's flat indices in path order and -1 past its end, ``links``
+    (C, L - 1) holds h[node_j, node_j+1] and 0 past the end. A support index
+    that no entry touches is a chain of one node.
     """
     values, indices, indptr = csr
     n = len(indptr) - 1
-    label = np.full(n, n, dtype=indices.dtype)  # n: not reached
-    label[support] = support
-    fell = support
-    while fell.size:
-        pos, count = _stored(indptr, fell)
-        nbr = indices[pos]
-        before = label[nbr]
-        np.minimum.at(label, nbr, np.repeat(label[fell], count))
-        # sort and drop repeats as np.unique does, without the numpy.ma
-        # import that np.unique makes on first use
-        fell = np.sort(nbr[label[nbr] < before])
-        keep = np.ones(fell.size, dtype=bool)
-        np.not_equal(fell[1:], fell[:-1], out=keep[1:])
-        fell = fell[keep]
-    idx = np.flatnonzero(label < n)
-    idx = idx[np.argsort(label[idx], kind="stable")]
-    bounds = np.flatnonzero(np.diff(label[idx], prepend=-1, append=-1))
-    # idx[i]'s stored entries are pos[ends[i]:ends[i + 1]], so each block's
-    # entries form one run
-    pos, count = _stored(indptr, idx)
-    ends = np.concatenate(([0], np.cumsum(count)))
-    row = np.repeat(np.arange(idx.size), count)
-    label[idx] = np.arange(idx.size)  # from here on: position in idx
-    col = label[indices[pos]]
-    blocks = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        run = slice(ends[lo], ends[hi])
-        hb = np.zeros((hi - lo, hi - lo), dtype=complex)
-        np.add.at(hb, (row[run] - lo, col[run] - lo), values[pos[run]])
-        lam, vec = np.linalg.eigh(hb)
-        residual = float(np.abs(hb @ vec - vec * lam).max())
-        if residual > tol * max(1.0, float(np.abs(lam).max())):
-            raise IntegratorError(
-                f"eigen-residual {residual:.3e} on a block of {hi - lo} states "
-                f"exceeds tol={tol:g}", residual=residual)
-        blocks.append((idx[lo:hi], lam, vec))
-    return blocks
+    # the row of each stored entry, read from indptr over the entries only
+    rows = np.searchsorted(indptr, np.arange(indices.size, dtype=indptr.dtype), side="right") - 1
+    offset = indices - rows
+    step = np.abs(offset)
+    if step.size and (step.min() != step.max() or step[0] == 0):
+        step = np.sort(step)
+        step = step[np.append(True, step[1:] != step[:-1])]
+        raise ValueError("evolve needs an operator whose entries all sit at (r, r +- s) for one "
+                         f"s > 0; its entries use the offsets {', '.join(map(str, step))}")
+    s = int(step[0]) if step.size else 1
+    start, link = rows[offset > 0], values[offset > 0]  # h[r, r + s], r rising
+    # in (r mod s, r div s) order each chain's links form one run, in path order
+    order = np.argsort(start % s, kind="stable")
+    start, link = start[order], link[order]
+    head = np.flatnonzero(np.diff(start, prepend=-s - 1) != s)  # links that start a chain
+    count = np.diff(np.append(head, start.size)) + 1
+
+    def rank(r):  # position of flat index r in (r mod s, r div s) order
+        return r % s * (n // s + 1) + r // s
+
+    # the chain that could hold each support index: the last one starting at or before it
+    head_rank, at_rank = rank(start[head]), rank(np.asarray(support, dtype=np.int64))
+    at = np.searchsorted(head_rank, at_rank, side="right") - 1
+    hit = at >= 0
+    hit[hit] = at_rank[hit] - head_rank[at[hit]] < count[at[hit]]
+    kept = np.zeros(head.size, dtype=bool)
+    kept[at[hit]] = True
+    lone = support[~hit]
+    first = np.concatenate((start[head[kept]], lone))
+    head = np.concatenate((head[kept], np.zeros(lone.size, dtype=head.dtype)))
+    count = np.concatenate((count[kept], np.ones(lone.size, dtype=count.dtype)))
+    j = np.arange(2 * ((count.max() + 1) // 2))
+    nodes = np.where(j < count[:, None], first[:, None] + s * j, -1)
+    links = np.zeros((count.size, j.size - 1), dtype=values.dtype)
+    inside = j[:-1] < count[:, None] - 1
+    links[inside] = link[(head[:, None] + j[:-1])[inside]]
+    return nodes, links
+
+
+def _chain_svd(b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, Sigma and V of every chain's bidiagonal, b = U diag(Sigma) V^T, from
+    one batched SVD.
+
+    Raises IntegratorError when a chain's residual max |b V - U Sigma|
+    exceeds tol * max(1, max Sigma).
+    """
+    u, sigma, vt = np.linalg.svd(b)
+    v = vt.transpose(0, 2, 1)
+    residual = np.abs(b @ v - u * sigma[:, None, :]).max(axis=(1, 2))
+    bound = tol * np.maximum(1.0, sigma[:, 0])
+    worst = int(np.argmax(residual / bound))
+    if residual[worst] > bound[worst]:
+        raise IntegratorError(
+            f"singular-value residual {residual[worst]:.3e} on a chain with largest singular "
+            f"value {sigma[worst, 0]:.3g} exceeds tol={tol:g}", residual=float(residual[worst]))
+    return u, sigma, v
+
+
+def _rotate(m: np.ndarray, cos: np.ndarray, sin: np.ndarray, p: np.ndarray, q: np.ndarray,
+            out: np.ndarray) -> None:
+    """Write m @ (cos p - i sin q) into ``out`` (complex, seen as real pairs)
+    for real m, cos and sin and complex p and q, in real arithmetic only."""
+    z = np.empty(cos.shape + (2,))
+    np.multiply(cos, p.real, out=z[..., 0])
+    z[..., 0] += sin * q.imag
+    np.multiply(cos, p.imag, out=z[..., 1])
+    z[..., 1] -= sin * q.real
+    np.matmul(m, z.reshape(cos.shape[:-1] + (-1,)), out=out.view(np.float64))
 
 
 def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: EvolutionConfig) -> list[QuantumState]:
     """Propagate a pure ``state`` to every xi grid point (the first entry is t = 0).
 
-    ``hamiltonian`` may be any Hermitian operator on the state's layout. A
-    density matrix is refused before any work: the interaction keeps a pure
-    initial state pure. Amplitude on a row that ``hamiltonian`` leaves empty
-    does not move, so a charge block H_q from ``build_hamiltonian(spec,
-    charge=q)`` freezes any part of the state outside sector q, with no
-    error; pass H_q only for a state in sector q. The returned states share one support, the sorted
-    indices of the blocks the walk reached, and hold amplitudes there only.
-    A state whose norm is further than NORM_TOL from 1 is refused with
-    ValueError before any work; a norm drift beyond NORM_TOL during the
-    evolution raises IntegratorError. Whether the truncation is adequate is
-    the sweep's call.
+    ``hamiltonian`` may be any Hermitian operator on the state's layout whose
+    stored entries all sit at (r, r +- s) for one offset s, as every builder
+    here makes; any other is refused with ValueError before any work. A
+    density matrix is refused too: the interaction keeps a pure initial
+    state pure. Amplitude on a row that ``hamiltonian`` leaves empty does not
+    move, so a charge block H_q from ``build_hamiltonian(spec, charge=q)``
+    freezes any part of the state outside sector q, with no error; pass H_q
+    only for a state in sector q. The returned states share one support, the
+    sorted indices of the chains that meet the state's support, and hold
+    amplitudes there only. A state whose norm is further than NORM_TOL from 1
+    is refused with ValueError before any work; a norm drift beyond NORM_TOL
+    during the evolution raises IntegratorError. Whether the truncation is
+    adequate is the sweep's call.
     """
     if not state.is_pure:
         raise ValueError("evolve propagates pure states; got a density matrix")
@@ -285,17 +320,40 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
     norm = float(np.linalg.norm(state.amplitudes))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"evolve needs a normalized state; its norm is {norm:.12f}")
-    blocks = _sector_blocks(hamiltonian.csr, state.support, config.tol)
-    support = np.sort(np.concatenate([idx for idx, _, _ in blocks]))
-    # the walk starts from the state's support, so every index it holds lies in a block
-    x = np.zeros(support.size, dtype=complex)
-    x[np.searchsorted(support, state.support)] = state.amplitudes
+    nodes, links = _chains(hamiltonian.csr, state.support)
+    # the phase gauge psi_j -> conj(d_j) psi_j, d_j+1 = d_j conj(h_j) / |h_j|,
+    # turns each chain into a real symmetric tridiagonal with zero diagonal
+    weight = np.abs(links)
+    phase = np.divide(links, weight, out=np.ones_like(links), where=weight > 0)
+    gauge = np.ones(nodes.shape, dtype=complex)
+    np.cumprod(phase.conj(), axis=1, out=gauge[:, 1:])
+    # links join even sites to odd ones: T = [[0, B], [B^T, 0]], with the
+    # links 2e -> 2e + 1 on B's diagonal and 2e - 1 -> 2e below it
+    half = np.arange(nodes.shape[1] // 2)
+    b = np.zeros((nodes.shape[0], half.size, half.size))
+    b[:, half, half] = weight[:, 0::2]
+    b[:, half[1:], half[:-1]] = weight[:, 1::2]
+    u, sigma, v = _chain_svd(b, config.tol)
+    pos = np.flatnonzero(nodes >= 0)
+    pos = pos[np.argsort(nodes.flat[pos])]  # where each support index sits in nodes
+    support = nodes.flat[pos]
+    x = np.zeros(nodes.size, dtype=complex)
+    x[pos[np.searchsorted(support, state.support)]] = state.amplitudes
+    x = x.reshape(nodes.shape) * gauge.conj()
+    p = u.transpose(0, 2, 1) @ x[:, 0::2, None]
+    q = v.transpose(0, 2, 1) @ x[:, 1::2, None]
+    # with B = U Sigma V^T, exp(-i T t) = [[U cos U^T, -i U sin V^T],
+    # [-i V sin U^T, V cos V^T]], cos and sin taken of Sigma t
     times = config.times()
     amps = np.empty((times.size, support.size), dtype=complex)
-    for idx, lam, vec in blocks:
-        at = np.searchsorted(support, idx)
-        # row j: V exp(-i Lambda t_j) V+ x on the block
-        amps[:, at] = (np.exp(-1j * np.outer(times, lam)) * (vec.conj().T @ x[at])) @ vec.T
+    for at in range(0, times.size, GRID_CHUNK):
+        angle = sigma[:, :, None] * times[at:at + GRID_CHUNK]
+        cos, sin = np.cos(angle), np.sin(angle)
+        y = np.empty(nodes.shape + (angle.shape[2],), dtype=complex)
+        _rotate(u, cos, sin, p, q, out=y[:, 0::2])
+        _rotate(v, cos, sin, q, p, out=y[:, 1::2])
+        y *= gauge[:, :, None]
+        amps[at:at + GRID_CHUNK] = y.reshape(nodes.size, -1)[pos].T
     norms = np.linalg.norm(amps, axis=1)
     drift = np.abs(norms - 1.0)
     if drift.max() > NORM_TOL:

@@ -26,7 +26,7 @@ from hocov import (
     vacuum_state,
 )
 import hocov.dynamics
-from hocov.dynamics import _sector_blocks
+from hocov.dynamics import _chains
 
 
 def trilinear_setup(dims=(6, 5, 9), k=1, l=2, kappa=1.0):
@@ -192,65 +192,127 @@ def test_charge_block_evolves_its_sector_like_the_full_hamiltonian(k, l, dims):
         assert np.array_equal(state.vector, psi_l.vector)
 
 
-def planted_hermitian(rng, sizes):
-    """Random sparse Hermitian matrix whose components are random trees over
-    the given sizes (plus random extra edges), on a shuffled index set; its
-    entries are purely imaginary, like the interaction's."""
-    n = sum(sizes)
-    perm = rng.permutation(n)
-    rows, cols = [], []
-    start = 0
-    for size in sizes:
-        members = perm[start:start + size]
-        for j in range(1, size):
-            rows.append(members[j])
-            cols.append(members[rng.integers(j)])
-        for _ in range(size // 3):
-            a, b = rng.choice(members, 2)
-            rows.append(a)
-            cols.append(b)
-        start += size
-    vals = 1j * rng.uniform(0.5, 2.0, size=len(rows))
-    up = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return (up + up.conj().T).tocsr()
-
-
-def whole_graph_blocks(h, support):
+def component_chains(h, support):
+    """Node sets of the connected components of h's sparsity graph that meet
+    ``support``, from scipy's whole-graph labelling."""
     _, labels = connected_components(abs(h), directed=False)
-    hit = np.unique(labels[support])
-    return {tuple(np.flatnonzero(labels == lab)) for lab in hit}
+    return {tuple(np.flatnonzero(labels == lab)) for lab in np.unique(labels[support])}
 
 
-def test_support_walk_finds_the_blocks_of_whole_graph_labelling():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        sizes = list(rng.integers(1, 9, size=rng.integers(3, 25)))
-        h = planted_hermitian(rng, sizes)
-        n = h.shape[0]
-        _, labels = connected_components(abs(h), directed=False)
-        big = np.flatnonzero(labels == np.bincount(labels).argmax())
-        supports = [
-            np.arange(n),  # a full-support density matrix
-            np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)),
-            np.sort(rng.choice(big, size=min(2, len(big)), replace=False)),  # two states in one block
-            np.array([rng.integers(n)]),
-        ]
-        for support in supports:
-            blocks = _sector_blocks((h.data, h.indices, h.indptr), support, 1e-9)
-            assert {tuple(np.sort(idx)) for idx, _, _ in blocks} == whole_graph_blocks(h, support)
-            for idx, lam, vec in blocks:
-                hb = h[idx][:, idx].toarray()
-                assert np.abs(hb @ vec - vec * lam).max() < 1e-12
+def assert_chains_of(h, support):
+    """_chains finds the components meeting ``support``, each as a path in
+    order with its links read from h."""
+    nodes, links = _chains((h.data, h.indices, h.indptr), support)
+    assert nodes.shape[1] % 2 == 0 and links.shape == (nodes.shape[0], nodes.shape[1] - 1)
+    found = set()
+    for row, link in zip(nodes, links):
+        path = row[row >= 0]
+        assert np.all(row[path.size:] == -1) and not link[path.size - 1:].any()
+        for j in range(path.size - 1):
+            assert link[j] == h[path[j], path[j + 1]] != 0
+        found.add(tuple(np.sort(path)))
+    assert found == component_chains(h, support)
+    # every found node lies in exactly one chain
+    assert sum(len(c) for c in found) == len(set().union(*found))
+
+
+def chain_supports(rng, h):
+    """Random, mid-chain and isolated-node supports of an operator."""
+    n = h.shape[0]
+    deg = np.diff(h.indptr)
+    isolated = np.flatnonzero(deg == 0)
+    middle = np.flatnonzero(deg == 2)
+    supports = [
+        np.sort(rng.choice(n, size=min(n, 12), replace=False)),
+        np.sort(rng.choice(middle, size=min(3, middle.size), replace=False)),
+        np.sort(np.concatenate((rng.choice(isolated, size=min(2, isolated.size), replace=False),
+                                rng.choice(middle, size=min(2, middle.size), replace=False)))),
+        np.array([rng.integers(n)]),
+        np.arange(n),
+    ]
+    return [sup for sup in supports if sup.size]
+
+
+@pytest.mark.parametrize("k,l,dims", [(1, 2, (7, 6, 11)), (1, 3, (6, 4, 12)), (2, 1, (6, 9, 5)),
+                                      (2, 3, (5, 7, 8))])
+def test_chain_reader_finds_the_components_of_every_hamiltonian(k, l, dims):
+    rng = np.random.default_rng(sum(dims) + 10 * k + l)
+    lay = ModeLayout(dims)
+    spec = InteractionSpec(lay, k=k, l=l, kappa=1.3)
+    full = build_hamiltonian(spec).data
+    for support in chain_supports(rng, full):
+        assert_chains_of(full, support)
+    charges = fock_charges(lay, k, l)[0]
+    for q in np.unique(charges):
+        block = build_hamiltonian(spec, charge=q).data
+        for support in chain_supports(rng, block):
+            assert_chains_of(block, support)
+        # the first states of sector q, whatever their links
+        assert_chains_of(block, np.flatnonzero(charges == q)[:5])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (5, 9), (12, 7)])
+def test_chain_reader_finds_the_components_of_the_classical_pump(dims):
+    rng = np.random.default_rng(dims[0])
+    h = build_classical_pump_hamiltonian(InteractionSpec(ModeLayout(dims), k=1, l=1), 0.7).data
+    for support in chain_supports(rng, h):
+        assert_chains_of(h, support)
 
 
 def test_support_walk_on_the_interaction():
     lay, h = trilinear_setup(dims=(7, 6, 11), k=1, l=2)
     pump = coherent_state(1.1, 7)
     psi0 = product_state(lay, pump, np.eye(6, dtype=complex)[:, 0], np.eye(11, dtype=complex)[:, 0])
-    blocks = _sector_blocks(h.csr, psi0.support, 1e-9)
-    assert {tuple(np.sort(idx)) for idx, _, _ in blocks} == whole_graph_blocks(h.data, psi0.support)
-    # one chain |n0 - j, j, 2j> per pump number, cut by the A and B cutoffs
-    assert sorted(len(idx) for idx, _, _ in blocks) == sorted(min(n0, 5) + 1 for n0 in range(7))
+    assert_chains_of(h.data, psi0.support)
+    nodes, _ = _chains(h.csr, psi0.support)
+    # one chain |n0 - j, j, 2j> per pump number, cut by the A and B cutoffs,
+    # padded to the even length at or above the longest
+    assert sorted(np.count_nonzero(row >= 0) for row in nodes) == sorted(min(n0, 5) + 1 for n0 in range(7))
+    assert nodes.shape == (7, 6)
+
+
+def test_complex_single_offset_operator_evolves_like_dense_expm():
+    # random complex links on chains of odd and even length, some split by a
+    # missing link: the phase gauge and the padding are exact
+    rng = np.random.default_rng(3)
+    lay = ModeLayout((5, 7))
+    n, s = lay.total_dim, 3
+    rows = np.arange(n - s)
+    keep = rng.random(rows.size) < 0.8
+    vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+    up = sparse.csr_matrix((vals[keep], (rows[keep], rows[keep] + s)), shape=(n, n))
+    h = TruncatedOperator(lay, (up + up.conj().T).tocsr(), hermitian=True)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0 = QuantumState(lay, vector=v / np.linalg.norm(v))
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.3, 2.0), kappa=1.0, alpha_p=1.0)
+    dense = h.data.toarray()
+    for state, t in zip(evolve(psi0, h, cfg), cfg.times()):
+        assert np.abs(state.vector - expm(-1j * t * dense) @ psi0.vector).max() < 1e-12
+
+
+def test_empty_hamiltonian_leaves_the_state_unchanged():
+    lay = ModeLayout((6, 5, 9))
+    h = build_hamiltonian(InteractionSpec(lay, k=1, l=2), charge=100)
+    assert h.data.nnz == 0
+    psi0 = product_state(lay, coherent_state(1.0, 6), np.eye(5)[:, 1], np.eye(9)[:, 0])
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.4, 3.0), kappa=1.0, alpha_p=1.0)
+    for state in evolve(psi0, h, cfg):
+        assert np.array_equal(state.support, psi0.support)
+        assert np.array_equal(state.amplitudes, psi0.amplitudes)
+
+
+def test_operator_with_two_offsets_is_refused_before_any_decomposition(monkeypatch):
+    lay = ModeLayout((3, 4))
+    n = lay.total_dim
+    up = sparse.csr_matrix((1j * np.ones(3), ([0, 1, 2], [1, 2, 5])), shape=(n, n))
+    h = TruncatedOperator(lay, (up + up.conj().T).tocsr(), hermitian=True)
+    monkeypatch.setattr(hocov.dynamics, "_chain_svd", lambda *a: pytest.fail("SVD ran"))
+    cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
+    with pytest.raises(ValueError, match=r"for one s > 0; its entries use the offsets 1, 3$"):
+        evolve(vacuum_state(lay), h, cfg)
+    diagonal = TruncatedOperator(lay, sparse.identity(n, format="csr", dtype=complex), hermitian=True)
+    with pytest.raises(ValueError, match=r"its entries use the offsets 0$"):
+        evolve(vacuum_state(lay), diagonal, cfg)
 
 
 @pytest.mark.parametrize("k,l,dims", [(1, 2, (7, 6, 11)), (1, 3, (6, 4, 12)), (2, 1, (6, 9, 5))])
@@ -480,22 +542,27 @@ def test_unnormalized_state_is_refused_before_the_block_walk(monkeypatch):
         lay, coherent_state(1.0, 4), np.eye(4, dtype=complex)[:, 0], np.eye(7, dtype=complex)[:, 0]
     )
     cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
-    monkeypatch.setattr(hocov.dynamics, "_sector_blocks", lambda *a: pytest.fail("block walk ran"))
+    monkeypatch.setattr(hocov.dynamics, "_chains", lambda *a: pytest.fail("chain reader ran"))
     for scale, norm in ((2.0, r"2\.000000000000"), (1.0 - 1e-6, r"0\.999999000000")):
         with pytest.raises(ValueError, match=rf"normalized state; its norm is {norm}$"):
             evolve(QuantumState(lay, vector=scale * psi.vector), h, cfg)
 
 
 def test_norm_drift_in_the_propagator_raises_integrator_error(monkeypatch):
-    # a normalized state through eigenvectors scaled by 1.1: the propagator,
-    # not the input, is at fault, and the drift error names the grid point
+    # a normalized state through singular vectors U and V scaled by 1.1: the
+    # propagator, not the input, is at fault, and the drift error names the
+    # grid point
     lay, h = trilinear_setup(dims=(4, 4, 7))
     psi = product_state(
         lay, coherent_state(1.0, 4), np.eye(4, dtype=complex)[:, 0], np.eye(7, dtype=complex)[:, 0]
     )
-    blocks = hocov.dynamics._sector_blocks
-    monkeypatch.setattr(hocov.dynamics, "_sector_blocks",
-                        lambda *a: [(idx, lam, 1.1 * vec) for idx, lam, vec in blocks(*a)])
+    svd = hocov.dynamics._chain_svd
+
+    def scaled(*a):
+        u, sigma, v = svd(*a)
+        return 1.1 * u, sigma, 1.1 * v
+
+    monkeypatch.setattr(hocov.dynamics, "_chain_svd", scaled)
     cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
     with pytest.raises(IntegratorError, match=r"^norm drifted to 1\.210000000000 at xi=0\.0$") as err:
         evolve(psi, h, cfg)
