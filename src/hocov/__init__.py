@@ -41,12 +41,11 @@ from .fock import (
 )
 from .quadratures import (
     MAX_ORDER,
-    FPolynomial,
     QuadraturePair,
     UnsupportedOrderError,
     expectation,
     f_operator,
-    f_polynomial,
+    f_values,
     nonlinear_quadratures,
     symmetrized_covariance,
 )

@@ -4,14 +4,13 @@ A sweep flag's value uses the config-file syntax of its key (``--dims 60,52,104`
 reads as ``dims = 60,52,104``) and overrides the file's value.
 
 Exit codes: 0 clean completion, 2 usage error (a flag value, config file,
-config value, stride or convergence boost refused before any work; an
-output path whose directory does not exist; or a plotdata input file that
-is missing or malformed, or an unknown series selector; each reported as
-one ``error:`` line naming the key, path or flag; argparse's usage block
-is left to an unknown flag, a missing subcommand or --in, and a --stride
-that is not an integer), 3 sweep finished but at least one grid point
-tripped the truncation guard, 4 convergence check exceeded its drift
-threshold.
+config value or stride refused before any work; an output path whose
+directory does not exist; or a plotdata input file that is missing or
+malformed, or an unknown series selector; each reported as one ``error:``
+line naming the key, path or flag; argparse's usage block is left to an
+unknown flag, a missing subcommand or --in, and a --stride that is not an
+integer), 3 sweep finished but at least one grid point tripped the
+truncation guard, 4 convergence check exceeded its drift threshold.
 """
 
 from __future__ import annotations

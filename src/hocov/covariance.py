@@ -16,16 +16,16 @@ sorted flat Fock indices of a support on sorted target indices, and
 <R_i R_j> = (T* G T^T)_ij with T the coefficients of R in L and
 G_ab = <L_a psi|L_b psi> = tr(L_a+ L_b rho) the Gram matrix.
 
-``covariance_stack`` computes one hierarchy level for a stack of T pure
-states that share one support, as the states of a trajectory do: the
-targets and weights are built once, each pair of ladder powers is matched
-by ``searchsorted`` on their targets once, and G_ab for every state is a sum
-over the matched amplitudes only. No selection rule is assumed: a pair whose
-targets never meet simply contributes nothing. ``build_covariance`` is that
-function on a stack of one for a pure state; for a density matrix it gathers
-G from the matrix over the union of the targets, and both finish through the
-same Gram-to-covariance step. The cost is linear in the support of a pure
-state.
+Each pair of ladder powers is matched once, by ``searchsorted`` on their
+targets, and G_ab is a sum over the matched indices only: of amplitude
+products for a pure state, of entries of the matrix for a density matrix.
+No selection rule is assumed: a pair whose targets never meet simply
+contributes nothing. ``covariance_stack`` computes one hierarchy level for
+a stack of T pure states that share one support, as the states of a
+trajectory do, matching once for the whole stack; ``build_covariance`` is
+that function on a stack of one for a pure state, and reads the same
+matches on a density matrix. Both finish through the same Gram-to-covariance
+step. The cost is linear in the support of a pure state.
 
 One type, ``HigherOrderCovariance``, holds either one covariance, V as
 (4, 4), or a stack, V as (T, 4, 4) with one f_kA, f_lB and first-moment row
@@ -40,12 +40,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .fock import DegenerateStateError, ModeLayout, QuantumState, TruncatedOperator, occupations, shift
-from .quadratures import check_order, f_polynomial, nonlinear_quadratures
+from .quadratures import check_order, f_values, nonlinear_quadratures
 
 _MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 # states per block of covariance_stack's sums; it bounds their temporaries
@@ -59,6 +60,7 @@ _LADDER_TO_R = np.array([
     [0.0, 0.0, 0.0, 0.5, 0.5],
     [0.0, 0.0, 0.0, -0.5j, 0.5j],
 ])
+_N_LADDER = _LADDER_TO_R.shape[1]
 
 
 @dataclass(frozen=True)
@@ -189,19 +191,56 @@ def mirror_reflect(cov: HigherOrderCovariance) -> HigherOrderCovariance:
     return HigherOrderCovariance(vt, cov.f_ka, cov.f_lb, fm, cov.n, cov.k, cov.l)
 
 
-def _ladder_powers(layout: ModeLayout, idx: np.ndarray, n: int, k: int, l: int):
-    """L = (1, A, A+, B, B+) on the sorted flat Fock indices ``idx``, each as
-    ``fock.shift``'s (rows, target, weight), and (mode, order) of A and B."""
+def _gram_terms(layout: ModeLayout, idx: np.ndarray, n: int, k: int, l: int):
+    """The terms of G over L = (1, A, A+, B, B+) on the sorted flat Fock
+    indices ``idx``, shared by pure states and density matrices.
+
+    ``diag`` is (7, S): its rows a < 5 weigh the populations into G_aa, and
+    its last two into <f_{nk}(N_A)> and <f_{nl}(N_B)>. ``pairs`` holds
+    (a, b, rows_a, rows_b, w) for each a < b whose targets meet, matched by
+    ``searchsorted``: L_a and L_b move |idx[rows_a]> and |idx[rows_b]> to
+    one target, so G_ab = sum w conj(psi[rows_a]) psi[rows_b]
+    = sum w rho[rows_b, rows_a]. No selection rule is assumed: a pair whose
+    targets never meet contributes nothing.
+    """
     if n < 1:
         raise ValueError("hierarchy index n must be >= 1")
     orders = ((layout.mode_a, n * k), (layout.mode_b, n * l))
     for mode, m in orders:
         check_order(layout, mode, m)
+    # each L_a as fock.shift's (rows, target, weight)
     ops = [(np.arange(len(idx)), idx, np.ones(len(idx)))]
     for mode, m in orders:
         for order in (-m, m):
             ops.append(shift(layout, idx, [order if i == mode else 0 for i in range(layout.nmodes)]))
-    return ops, orders
+    diag = np.zeros((_N_LADDER + 2, idx.size))
+    for a, (rows, _, weight) in enumerate(ops):
+        diag[a, rows] = weight ** 2
+    for j, (mode, m) in enumerate(orders):
+        diag[_N_LADDER + j] = f_values(m, occupations(layout, idx, mode))
+    pairs = []
+    for a, b in combinations(range(_N_LADDER), 2):
+        rows_a, target_a, weight_a = ops[a]
+        rows_b, target_b, weight_b = ops[b]
+        if not target_a.size:
+            continue
+        at = np.searchsorted(target_a, target_b)
+        hit = np.flatnonzero(target_a.take(at, mode="clip") == target_b)
+        if hit.size:
+            at = at[hit]
+            pairs.append((a, b, rows_a[at], rows_b[hit], weight_a[at] * weight_b[hit]))
+    return diag, pairs
+
+
+@lru_cache(maxsize=8)
+def _density_terms(layout: ModeLayout, n: int, k: int, l: int):
+    """``_gram_terms`` on every index of ``layout``, the support of any
+    density matrix. Cached and read-only: a set of density matrices on one
+    layout and level, as a certification run has, shares one match."""
+    diag, pairs = _gram_terms(layout, np.arange(layout.total_dim), n, k, l)
+    for arr in (diag, *(arr for pair in pairs for arr in pair[2:])):
+        arr.flags.writeable = False
+    return diag, pairs
 
 
 def _from_gram(gram: np.ndarray, f_ka, f_lb, n: int, k: int, l: int) -> HigherOrderCovariance:
@@ -233,31 +272,15 @@ def covariance_stack(layout: ModeLayout, support, amplitudes, n: int, k: int, l:
     amp = np.ascontiguousarray(amplitudes, dtype=complex)
     if amp.ndim != 2 or amp.shape[1] != idx.size:
         raise ValueError(f"amplitudes must be (T, {idx.size}), one row per state, got {amp.shape}")
-    ops, orders = _ladder_powers(layout, idx, n, k, l)
-    # population weights: |L_a psi|^2 for each a, then f_nk(N_A) and f_nl(N_B)
-    diag = np.zeros((len(ops) + 2, idx.size))
-    for a, (rows, _, weight) in enumerate(ops):
-        diag[a, rows] = weight ** 2
-    for j, (mode, m) in enumerate(orders):
-        diag[len(ops) + j] = f_polynomial(m)(occupations(layout, idx, mode))
-    pairs = []
-    for a, b in combinations(range(len(ops)), 2):
-        rows_a, target_a, weight_a = ops[a]
-        rows_b, target_b, weight_b = ops[b]
-        if not target_a.size:
-            continue
-        at = np.minimum(np.searchsorted(target_a, target_b), target_a.size - 1)
-        hit = np.flatnonzero(target_a[at] == target_b)
-        if hit.size:
-            pairs.append((a, b, rows_a[at[hit]], rows_b[hit], weight_a[at[hit]] * weight_b[hit]))
-    gram = np.zeros((len(amp), len(ops), len(ops)), dtype=complex)
+    diag, pairs = _gram_terms(layout, idx, n, k, l)
+    gram = np.zeros((len(amp), _N_LADDER, _N_LADDER), dtype=complex)
     f = np.zeros((len(amp), 2))
     for t in range(0, len(amp), _BLOCK):
         block = amp[t:t + _BLOCK]
         pops = block.real ** 2 + block.imag ** 2
         sums = np.stack([(pops * d).sum(axis=1) for d in diag], axis=1)
-        gram[t:t + _BLOCK, range(len(ops)), range(len(ops))] = sums[:, :len(ops)]
-        f[t:t + _BLOCK] = sums[:, len(ops):]
+        gram[t:t + _BLOCK, range(_N_LADDER), range(_N_LADDER)] = sums[:, :_N_LADDER]
+        f[t:t + _BLOCK] = sums[:, _N_LADDER:]
         for a, b, rows_a, rows_b, w in pairs:
             # conj(x) y in real arithmetic, on row-major copies (block[:, i]
             # would be column-major): each state's sum then runs over one
@@ -286,27 +309,14 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
     """
     if state.is_pure:
         return covariance_stack(state.layout, state.support, state.amplitudes[None], n, k, l)[0]
-    layout = state.layout
-    idx = state.support
-    ops, orders = _ladder_powers(layout, idx, n, k, l)
-    # op b moves row src[b, t] of rho, whose rows are the Fock indices idx,
-    # to the shared sorted target targets[t] with weight w[b, t] (0 where it
-    # does not reach t); then G_ab = tr(L_a+ L_b rho) = sum_t w_a w_b
-    # rho[src_b, src_a]. Sort and drop repeats by hand: np.unique is an order
-    # of magnitude slower here
-    targets = np.sort(np.concatenate([target for _, target, _ in ops]))
-    targets = targets[np.diff(targets, prepend=-1) != 0]
-    src = np.zeros((len(ops), len(targets)), dtype=np.intp)
-    w = np.zeros((len(ops), len(targets)))
-    for b, (rows, target, weight) in enumerate(ops):
-        at = np.searchsorted(targets, target)
-        src[b, at] = rows
-        w[b, at] = weight
+    diag, pairs = _density_terms(state.layout, n, k, l)
     rho = state.matrix
-    gram = np.einsum("at,bt,abt->ab", w, w, rho[src[None], src[:, None]])
-    pops = np.diag(rho).real
-    f_ka, f_lb = (pops @ f_polynomial(m)(occupations(layout, idx, mode)) for mode, m in orders)
-    return _from_gram(gram[None], f_ka, f_lb, n, k, l)[0]
+    sums = diag @ rho.diagonal().real
+    gram = np.diag(sums[:_N_LADDER]).astype(complex)
+    for a, b, rows_a, rows_b, w in pairs:
+        gram[a, b] = w @ rho[rows_b, rows_a]
+        gram[b, a] = gram[a, b].conjugate()
+    return _from_gram(gram[None], sums[-2], sums[-1], n, k, l)[0]
 
 
 def _sl2_normal_scaling(block: np.ndarray) -> tuple[np.ndarray, float]:

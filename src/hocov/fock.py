@@ -155,7 +155,8 @@ class QuantumState:
     the operator layer; nothing on the sweep path reads it). A state that
     ``evolve`` returns has the chains its trajectory reaches as ``support``,
     a superset of its nonzero amplitudes. A density matrix is held as
-    ``matrix``, with every index as its support and no amplitudes. ``time``
+    ``matrix``, with every index as its support and no amplitudes; it must be
+    Hermitian to 1e-10, since ``build_covariance`` reads one triangle. ``time``
     records the physical time the state was evolved to (0 for freshly
     constructed states). All arrays are read-only.
     """
@@ -178,6 +179,9 @@ class QuantumState:
             m = np.asarray(matrix, dtype=complex)
             if m.shape != (n, n):
                 raise ValueError(f"density matrix shape {m.shape} != ({n},{n})")
+            gap = np.abs(m - m.conj().T).max()
+            if gap > 1e-10:
+                raise ValueError(f"density matrix must be Hermitian, |rho - rho^H| reaches {gap:.3e}")
             self._hold(layout, np.arange(n), None, m, time)
 
     @classmethod

@@ -1,14 +1,21 @@
 """Nonlinear quadratures Q^m = (a^m + a+^m)/2, P^m = i(a+^m - a^m)/2 and the
 commutator polynomials f_m with [Q^m, P^m] = i f_m(N).
 
-The f_m coefficient table is stored as exact rationals, transcribed from the
-order-by-order commutator expansion. Because a transcription typo would silently
-poison every criterion downstream, each polynomial is cross-checked at
-construction against the exact ladder identity
+f_m is read from the ladder identity
 
-    f_m(N) = [ (N+1)(N+2)...(N+m) - N(N-1)...(N-m+1) ] / 2
+    f_m(N) = [ (N+1)(N+2)...(N+m) - N(N-1)...(N-m+1) ] / 2,
 
-evaluated in integer arithmetic; any mismatch aborts with a diagnostic.
+evaluated in float64. While the rising product stays below 2^53, as it
+does at every order and cutoff of the shipped configs, each product and
+the difference are exact integers, so the values are exact.
+
+Orders above MAX_ORDER = 9 are refused for precision, not for f_m: a
+covariance of order-m quadratures holds moments of order 2m, and the
+witness is a small difference of their products. With the cap lifted,
+configs/competition.cfg at n = 5 (order 15 on B) has covariance entries of
+8e19 by xi 0.04 and wrote nu_minus -3.1e14 at xi 0.02, -2.1e18 at 0.04 and
+-375 at 0.06, each row reading ``entangled`` and ``ok``; at n = 4
+(order 12) the values were smooth.
 
 The embedded Q^m, P^m come from ``fock.embed`` and so load scipy when first
 built; ``f_operator`` is a diagonal CSR triple and needs numpy only.
@@ -17,7 +24,6 @@ built; ``f_operator`` is a diagonal CSR triple and needs numpy only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -29,98 +35,20 @@ IMAG_TOL = 1e-8  # largest imaginary part <op> of a Hermitian operator may show
 
 
 class UnsupportedOrderError(ValueError):
-    """Quadrature order outside the tabulated range 1..9."""
+    """Quadrature order outside 1..MAX_ORDER."""
 
 
-# ascending coefficients of f_m(N), exact
-_F_TABLE: dict[int, tuple[Fraction, ...]] = {
-    1: (Fraction(1, 2),),
-    2: (Fraction(1), Fraction(2)),
-    3: (Fraction(3), Fraction(9, 2), Fraction(9, 2)),
-    4: (Fraction(12), Fraction(28), Fraction(12), Fraction(8)),
-    5: (Fraction(60), Fraction(125), Fraction(275, 2), Fraction(25), Fraction(25, 2)),
-    6: (Fraction(360), Fraction(942), Fraction(675), Fraction(480), Fraction(45), Fraction(18)),
-    7: (
-        Fraction(2520),
-        Fraction(6174),
-        Fraction(7448),
-        Fraction(5145, 2),
-        Fraction(2695, 2),
-        Fraction(147, 2),
-        Fraction(49, 2),
-    ),
-    8: (
-        Fraction(20160),
-        Fraction(57312),
-        Fraction(52528),
-        Fraction(40208),
-        Fraction(7840),
-        Fraction(3248),
-        Fraction(112),
-        Fraction(32),
-    ),
-    9: (
-        Fraction(181440),
-        Fraction(493128),
-        Fraction(641142),
-        Fraction(302778),
-        Fraction(336609, 2),
-        Fraction(20412),
-        Fraction(6993),
-        Fraction(162),
-        Fraction(81, 2),
-    ),
-}
-
-
-def _ladder_commutator_value(m: int, n: int) -> Fraction:
-    # exact diagonal of [a^m, a+^m]/2 at Fock level n
-    rising = 1
-    for i in range(1, m + 1):
-        rising *= n + i
-    falling = 1
-    for i in range(0, m):
-        falling *= n - i
-    return Fraction(rising - falling, 2)
-
-
-@dataclass(frozen=True)
-class FPolynomial:
-    """Exact polynomial f_m(N), ascending coefficients."""
-
-    m: int
-    coefficients: tuple[Fraction, ...]
-
-    def __call__(self, n):
-        """Evaluate at occupation(s) n; exact for int/Fraction, float for arrays."""
-        if isinstance(n, (int, Fraction)):
-            acc: Fraction | int = 0
-            for c in reversed(self.coefficients):
-                acc = acc * n + c
-            return acc
-        n = np.asarray(n, dtype=float)
-        acc = np.zeros_like(n)
-        for c in reversed(self.coefficients):
-            acc = acc * n + float(c)
-        return acc
-
-
-@lru_cache(maxsize=None)
-def f_polynomial(m: int) -> FPolynomial:
-    """Tabulated f_m with the construction-time exact cross-check."""
+def f_values(m: int, n) -> np.ndarray:
+    """f_m at the occupation(s) ``n`` from the ladder identity, in float64."""
     if not 1 <= m <= MAX_ORDER:
-        raise UnsupportedOrderError(f"f_m tabulated for 1 <= m <= {MAX_ORDER}, got m={m}")
-    poly = FPolynomial(m, _F_TABLE[m])
-    # degree m-1 polynomial: m+1 exact sample points pin it uniquely
-    for n in range(m + 2):
-        expected = _ladder_commutator_value(m, n)
-        got = poly(n)
-        if got != expected:
-            raise AssertionError(
-                f"f_{m} table mismatch at N={n}: table gives {got}, "
-                f"ladder commutator gives {expected}; refusing to run"
-            )
-    return poly
+        raise UnsupportedOrderError(f"f_m is defined here for 1 <= m <= {MAX_ORDER}, got m={m}")
+    n = np.asarray(n, dtype=float)
+    rising = np.ones_like(n)
+    falling = np.ones_like(n)
+    for i in range(m):
+        rising *= n + (i + 1)
+        falling *= n - i
+    return (rising - falling) / 2
 
 
 @lru_cache(maxsize=None)
@@ -149,16 +77,15 @@ class QuadraturePair:
 
 
 def check_order(layout: ModeLayout, mode: int, m: int) -> None:
-    """Refuse a quadrature order outside the table or not below the mode cutoff."""
+    """Refuse a quadrature order outside 1..MAX_ORDER or not below the mode cutoff."""
     if not 1 <= m <= MAX_ORDER:
         raise UnsupportedOrderError(f"quadrature order m={m} outside 1..{MAX_ORDER}")
     if m >= layout.dims[mode]:
         raise ValueError(f"m={m} needs mode dim > m, got {layout.dims[mode]}")
-    f_polynomial(m)  # trigger the table cross-check before anything uses order m
 
 
 def nonlinear_quadratures(layout: ModeLayout, mode: int, m: int) -> QuadraturePair:
-    """Embedded Q^m, P^m for ``mode``; m must not exceed the tabulated range."""
+    """Embedded Q^m, P^m for ``mode``; m must not exceed MAX_ORDER."""
     check_order(layout, mode, m)
     q, p = _embedded_quadratures(layout.dims, mode, m)
     return QuadraturePair(mode, m, q, p)
@@ -166,8 +93,7 @@ def nonlinear_quadratures(layout: ModeLayout, mode: int, m: int) -> QuadraturePa
 
 def f_operator(layout: ModeLayout, mode: int, m: int) -> TruncatedOperator:
     """Diagonal operator f_m(N_mode) on the full space."""
-    poly = f_polynomial(m)
-    diag_single = poly(np.arange(layout.dims[mode]))
+    diag_single = f_values(m, np.arange(layout.dims[mode]))
     diag = np.ones(1)
     for i, d in enumerate(layout.dims):
         diag = np.kron(diag, diag_single if i == mode else np.ones(d))

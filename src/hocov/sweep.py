@@ -32,6 +32,8 @@ from .quadratures import MAX_ORDER, UnsupportedOrderError
 # a grid point whose top two Fock levels hold more population than this, in
 # any mode, is flagged "breach"
 TOP_LEVEL_GUARD = 1e-6
+# (pump, A, B) increments of the cutoffs in convergence_check's boosted run
+CONVERGENCE_STEP = (4, 8, 16)
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -46,8 +48,11 @@ class SweepConfig:
     names its key: dims (three integer cutoffs >= 2), k and l (integers
     >= 1, not both 1), alpha_p and xi_step (positive and finite), xi_max
     (nonnegative and finite), hierarchy (positive integers, no level twice),
-    convergence_step (three nonnegative integers), and the orders the
-    hierarchy needs (within the f_m table and below each mode's cutoff).
+    and the orders the hierarchy needs (at most MAX_ORDER and below each
+    mode's cutoff). The order cap is one of precision, not of f_m: with it
+    lifted, configs/competition.cfg at n = 5 (order 15 on B) wrote nu_minus
+    -3.1e14, -2.1e18 and -375 at xi 0.02, 0.04 and 0.06, every row reading
+    ``entangled`` and ``ok`` (the ``quadratures`` docstring has the cause).
     """
 
     k: int = 1
@@ -58,11 +63,10 @@ class SweepConfig:
     xi_step: float = 0.02
     hierarchy: tuple[int, ...] = (1, 2, 3)
     with_nz: bool = False
-    convergence_step: tuple[int, int, int] = (4, 8, 16)
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("dims", "hierarchy", "convergence_step"):
+        for name in ("dims", "hierarchy"):
             values = tuple(getattr(self, name))
             if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                        for v in values):
@@ -84,9 +88,6 @@ class SweepConfig:
             raise ValueError("hierarchy levels must be positive integers")
         if len(set(self.hierarchy)) != len(self.hierarchy):
             raise ValueError(f"hierarchy lists a level twice: {tuple(self.hierarchy)}")
-        if len(self.convergence_step) != 3 or any(s < 0 for s in self.convergence_step):
-            raise ValueError("convergence_step must be three nonnegative (pump, A, B) "
-                             f"increments, got {tuple(self.convergence_step)}")
         if self.with_nz and (self.k, self.l) != (1, 2):
             raise ValueError("the variance-product comparator is defined for k=1, l=2")
         top = max(self.hierarchy)
@@ -425,15 +426,11 @@ def emit_plot_data(rows, path: str, series: tuple = ("nu1", "nu2", "nu3")) -> No
 def _convergence_configs(config: SweepConfig, stride: int) -> tuple[SweepConfig, SweepConfig]:
     """The base and boosted sweeps of convergence_check.
 
-    A check that could not fail is refused with ValueError: convergence_step
-    = 0, 0, 0 (the boosted run is the base run) or a stride that leaves only
-    xi = 0.
+    A check that could not fail is refused with ValueError: a stride that
+    leaves only xi = 0.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if not any(config.convergence_step):
-        raise ValueError("convergence_step = 0, 0, 0 boosts no cutoff, so the check "
-                         "would compare the sweep with itself")
     grid = config.xi_grid()
     if stride >= len(grid):
         raise ValueError(f"stride={stride} leaves only xi=0 of the {len(grid)}-point "
@@ -442,7 +439,7 @@ def _convergence_configs(config: SweepConfig, stride: int) -> tuple[SweepConfig,
                        xi_step=config.xi_step * stride, xi_max=grid[::stride][-1])
     boosted_cfg = replace(
         base_cfg,
-        dims=tuple(d + b for d, b in zip(config.dims, config.convergence_step)),
+        dims=tuple(d + b for d, b in zip(config.dims, CONVERGENCE_STEP)),
     )
     return base_cfg, boosted_cfg
 
@@ -451,15 +448,15 @@ def convergence_check(config: SweepConfig, stride: int = 5) -> dict:
     """Estimate the truncation error of the witness values.
 
     Re-runs a strided subsample of the xi grid with every mode truncation
-    enlarged by config.convergence_step and reports the
+    enlarged by CONVERGENCE_STEP and reports the
     largest |drift| of nu_minus across grid points and hierarchy levels
     (``max_drift``, which alone decides ``pass``), and the largest for each
     level (``max_drift_by_level``, {n: drift}).
     Evolution is exact within each charge sector, so the coarser check grid
     reproduces the full grid's values at the shared points and enlarging the
     truncation is the only error axis left. A check that could not fail
-    (convergence_step = 0, 0, 0, or a stride that leaves only xi = 0) is
-    refused with ValueError before any sweep runs.
+    (a stride that leaves only xi = 0) is refused with ValueError before
+    any sweep runs.
     """
     base_cfg, boosted_cfg = _convergence_configs(config, stride)
     base = run_sweep(base_cfg, keep_states=False)

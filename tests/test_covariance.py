@@ -163,8 +163,9 @@ def test_mixed_state_covariance_matches_pure():
 
 
 def test_density_and_pure_gram_branches_agree():
-    # |psi><psi| as a density matrix goes through the gather branch of
-    # build_covariance, psi itself through the product branch
+    # |psi><psi| as a density matrix sums the matched ladder pairs over
+    # entries of the matrix in build_covariance, psi itself over amplitude
+    # products
     rng = np.random.default_rng(41)
     states = [spdc_state(xi=0.3, dims=(8, 11, 26), alpha=1.2)]
     for dims in ((3, 7, 10), (7, 10)):

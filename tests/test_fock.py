@@ -247,6 +247,16 @@ def test_state_requires_exactly_one_representation():
         QuantumState(lay, vector=vec, matrix=np.outer(vec, vec))
 
 
+def test_state_refuses_a_non_hermitian_density_matrix():
+    lay = ModeLayout((2, 2))
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho[0, 1] = 0.25
+    with pytest.raises(ValueError, match="Hermitian"):
+        QuantumState(lay, matrix=rho)
+    rho[1, 0] = 0.25
+    assert QuantumState(lay, matrix=rho).matrix[1, 0] == 0.25
+
+
 def test_state_arrays_are_frozen():
     lay = ModeLayout((2, 2))
     vec = np.zeros(4, dtype=complex)

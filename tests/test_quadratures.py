@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hocov import (
     UnsupportedOrderError,
     expectation,
     f_operator,
-    f_polynomial,
+    f_values,
     fock_state,
     nonlinear_quadratures,
     product_state,
@@ -18,6 +19,28 @@ from hocov import (
     thermal_state,
     vacuum_state,
 )
+from hocov.sweep import CONVERGENCE_STEP, config_from_file
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+# f_m(N) transcribed from the order-by-order commutator expansion, as exact
+# ascending coefficients; an independent witness of the ladder identity that
+# f_values evaluates
+F_TABLE = {
+    1: (Fraction(1, 2),),
+    2: (Fraction(1), Fraction(2)),
+    3: (Fraction(3), Fraction(9, 2), Fraction(9, 2)),
+    4: (Fraction(12), Fraction(28), Fraction(12), Fraction(8)),
+    5: (Fraction(60), Fraction(125), Fraction(275, 2), Fraction(25), Fraction(25, 2)),
+    6: (Fraction(360), Fraction(942), Fraction(675), Fraction(480), Fraction(45), Fraction(18)),
+    7: (Fraction(2520), Fraction(6174), Fraction(7448), Fraction(5145, 2), Fraction(2695, 2),
+        Fraction(147, 2), Fraction(49, 2)),
+    8: (Fraction(20160), Fraction(57312), Fraction(52528), Fraction(40208), Fraction(7840),
+        Fraction(3248), Fraction(112), Fraction(32)),
+    9: (Fraction(181440), Fraction(493128), Fraction(641142), Fraction(302778),
+        Fraction(336609, 2), Fraction(20412), Fraction(6993), Fraction(162), Fraction(81, 2)),
+}
 
 
 def rising_falling_half(m, n):
@@ -30,32 +53,55 @@ def rising_falling_half(m, n):
     return Fraction(rising - falling, 2)
 
 
+def tabulated(m, n):
+    acc = Fraction(0)
+    for c in reversed(F_TABLE[m]):
+        acc = acc * n + c
+    return acc
+
+
 def test_f_polynomial_exact_on_wide_range():
-    # exact rational agreement with the ladder commutator diagonal, well past
-    # the internal construction check
+    # the transcribed table and the identity agree exactly, and f_values
+    # reads the identity exactly in float64 while the rising product is
+    # below 2**53
+    assert sorted(F_TABLE) == list(range(1, MAX_ORDER + 1))
     for m in range(1, MAX_ORDER + 1):
-        poly = f_polynomial(m)
+        got = f_values(m, np.arange(31))
         for n in range(0, 31):
-            assert poly(n) == rising_falling_half(m, n), (m, n)
+            assert tabulated(m, n) == rising_falling_half(m, n), (m, n)
+            assert got[n] == rising_falling_half(m, n), (m, n)
 
 
 def test_f_polynomial_at_vacuum():
     for m in range(1, MAX_ORDER + 1):
-        assert f_polynomial(m)(0) == Fraction(math.factorial(m), 2)
+        assert f_values(m, 0) == Fraction(math.factorial(m), 2)
 
 
 def test_f1_is_constant_half():
-    poly = f_polynomial(1)
-    assert poly.coefficients == (Fraction(1, 2),)
     grid = np.arange(50.0)
-    assert np.all(poly(grid) == 0.5)
+    assert np.all(f_values(1, grid) == 0.5)
 
 
 def test_f_polynomial_rejects_out_of_range():
     with pytest.raises(UnsupportedOrderError):
-        f_polynomial(0)
+        f_values(0, 3)
     with pytest.raises(UnsupportedOrderError):
-        f_polynomial(MAX_ORDER + 1)
+        f_values(MAX_ORDER + 1, 3)
+
+
+@pytest.mark.parametrize("name", ["window", "hierarchy", "competition"])
+def test_f_values_exact_at_every_order_and_level_a_shipped_config_reaches(name):
+    # the sweep and its check's boosted run read f_m at every Fock level of
+    # the A and B cutoffs; there the rising product stays below 2**53, so
+    # every float64 product and the difference are exact integers
+    cfg = config_from_file(str(CONFIGS / f"{name}.cfg"))
+    for dims in (cfg.dims, tuple(d + b for d, b in zip(cfg.dims, CONVERGENCE_STEP))):
+        for n in cfg.hierarchy:
+            for m, dim in ((n * cfg.k, dims[1]), (n * cfg.l, dims[2])):
+                assert math.prod(range(dim, dim + m)) < 2 ** 53, (name, dims, n, m)
+                got = f_values(m, np.arange(dim))
+                assert all(got[level] == rising_falling_half(m, level)
+                           for level in range(dim)), (name, dims, n, m)
 
 
 def test_quadrature_hermiticity():
@@ -100,12 +146,11 @@ def test_f_operator_diagonal_values():
     for mode, m in ((0, 2), (1, 1), (2, 3)):
         op = f_operator(lay, mode, m)
         assert op.hermitian
-        poly = f_polynomial(m)
         dense = op.data.toarray()
         assert np.abs(dense - np.diag(np.diag(dense))).max() == 0
         for flat in range(lay.total_dim):
             occ = np.unravel_index(flat, lay.dims)[mode]
-            assert dense[flat, flat].real == pytest.approx(float(poly(int(occ))))
+            assert dense[flat, flat].real == pytest.approx(float(rising_falling_half(m, int(occ))))
 
 
 def test_expectation_pure_and_mixed_agree():

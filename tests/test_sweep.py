@@ -128,7 +128,7 @@ def test_csv_determinism_and_roundtrip(tmp_path):
     assert lines[2].startswith("n,k,l,xi,nu_minus")
 
     assert lines[1] == ("# k=1 l=2 alpha_p=1.0 dims=12,6,11 xi_max=0.06 xi_step=0.03 "
-                        "hierarchy=1,2 with_nz=false convergence_step=4,8,16")
+                        "hierarchy=1,2 with_nz=false")
 
     rows = read_csv(str(p1))
     assert len(rows) == len(result.rows)
@@ -206,8 +206,7 @@ def test_load_config_parses_types(tmp_path):
     # every SweepConfig key, each parsed as the type of its default
     path.write_text(
         "k = 2\nl = 1\nalpha_p = 3\ndims = 8 9 10\nxi_max = 1\n"
-        "xi_step = 0.25\nhierarchy = 2,1\nwith_nz = ON\n"
-        "convergence_step = 1, 0, 2\nout = sweep.csv\n",
+        "xi_step = 0.25\nhierarchy = 2,1\nwith_nz = ON\nout = sweep.csv\n",
         encoding="utf-8",
     )
     values = load_config(str(path))
@@ -215,7 +214,7 @@ def test_load_config_parses_types(tmp_path):
     assert values == {
         "k": 2, "l": 1, "alpha_p": 3.0, "dims": (8, 9, 10),
         "xi_max": 1.0, "xi_step": 0.25, "hierarchy": (2, 1), "with_nz": True,
-        "convergence_step": (1, 0, 2), "out": "sweep.csv",
+        "out": "sweep.csv",
     }
     for f in fields(SweepConfig):
         want = str if f.default is None else type(f.default)
@@ -246,13 +245,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize("bad,match", [
     (dict(hierarchy=(1.5,)), r"hierarchy must hold integers, got \(1\.5,\)"),
-    (dict(convergence_step=(4, 8.5, 16)), "convergence_step must hold integers"),
+    (dict(xi_max=-0.5), "xi_max must be nonnegative and finite, got -0.5"),
     (dict(alpha_p=-5.0), "alpha_p must be positive"),
     (dict(dims=(12, 6.5, 11)), "dims must hold integers"),
     (dict(k=0), "k must be an integer >= 1"),
     (dict(k=1, l=1, hierarchy=(1,)), r"k \+ l >= 3"),
     (dict(hierarchy=(1, 1)), "hierarchy lists a level twice"),
-    (dict(convergence_step=(4, -1, 16)), "convergence_step must be three nonnegative"),
+    (dict(dims=(12, 6)), "dims must name"),
     (dict(hierarchy=("1",)), "hierarchy must hold integers"),
     (dict(alpha_p=float("inf")), "alpha_p must be positive and finite, got inf"),
     (dict(dims=(12.0, 6, 11)), "dims must hold integers"),
@@ -301,8 +300,7 @@ def test_kappa_and_tol_are_not_sweep_settings(tmp_path, capsys, monkeypatch):
     # xi = kappa t alpha_p, so kappa cancels out of every output, and the
     # propagator's residual guard is EvolutionConfig's own
     assert [f.name for f in fields(SweepConfig)] == [
-        "k", "l", "alpha_p", "dims", "xi_max", "xi_step", "hierarchy", "with_nz",
-        "convergence_step", "out"]
+        "k", "l", "alpha_p", "dims", "xi_max", "xi_step", "hierarchy", "with_nz", "out"]
     monkeypatch.setattr(hocov.cli, "run_sweep", None)  # any work would raise
     monkeypatch.setattr(hocov.cli, "convergence_check", None)
     capsys.readouterr()
@@ -332,7 +330,8 @@ def test_cli_reports_a_missing_config_and_a_bad_stride(tmp_path, capsys):
 
 
 def test_unsupported_order_fails_before_evolution():
-    # n=5 with l=2 needs Q^10 on mode B; the f_m table stops at m=9
+    # n=5 with l=2 needs Q^10 on mode B; orders above MAX_ORDER = 9 are
+    # refused for precision
     with pytest.raises(UnsupportedOrderError, match=r"n=5 .*order 10"):
         tiny_config(hierarchy=(1, 5))
     with pytest.raises(UnsupportedOrderError, match=r"n=4 .*order 12"):
@@ -386,11 +385,13 @@ def test_convergence_check_structure():
                            "points", "base_dims", "boosted_dims"}
     assert report["base_dims"] == cfg.dims
     assert report["boosted_dims"] == tuple(
-        d + b for d, b in zip(cfg.dims, cfg.convergence_step))
+        d + b for d, b in zip(cfg.dims, hocov.sweep.CONVERGENCE_STEP))
     assert report["max_drift"] == max(p["drift"] for p in report["points"])
     assert report["pass"] == (report["max_drift"] < report["threshold"])
     xis = {p["xi"] for p in report["points"]}
     assert xis == {0.0, 0.06}
+    # xi = 0 is the same product state at both cutoffs, so its drift is numerical noise
+    assert max(p["drift"] for p in report["points"] if p["xi"] == 0.0) < 1e-12
 
 
 def test_convergence_check_reports_the_drift_of_each_level():
@@ -404,24 +405,11 @@ def test_convergence_check_reports_the_drift_of_each_level():
     assert by_level[2] > by_level[1]
 
 
-def test_convergence_check_custom_step():
-    cfg = tiny_config(convergence_step=(1, 1, 1))
-    report = convergence_check(cfg, stride=2)
-    assert report["boosted_dims"] == (13, 7, 12)
-    assert {p["xi"] for p in report["points"]} == {0.0, 0.06}
-    assert report["pass"]
-    # xi = 0 is the same product state at both cutoffs, so its drift is numerical noise
-    assert max(p["drift"] for p in report["points"] if p["xi"] == 0.0) < 1e-12
-
-
 def test_convergence_check_refuses_a_check_that_cannot_fail(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
     monkeypatch.setattr(hocov.sweep, "run_sweep", no_sweep)
-    # no boost: the boosted sweep would be the base sweep
-    with pytest.raises(ValueError, match="convergence_step"):
-        convergence_check(tiny_config(convergence_step=(0, 0, 0)), stride=2)
     # a stride past the 3-point grid leaves only xi = 0
     for stride in (3, 50):
         with pytest.raises(ValueError, match=f"stride={stride}"):
@@ -681,9 +669,6 @@ def test_cli_check_refuses_a_check_that_cannot_fail(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: stride=5 leaves only xi=0")
     assert "Traceback" not in err
-    still = write_tiny_cfg(tmp_path / "still.cfg", convergence_step=(0, 0, 0))
-    assert main(["check", "--config", still, "--stride", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: convergence_step = 0, 0, 0")
     assert not out.exists()
 
 
