@@ -4,21 +4,24 @@ covariance entanglement criteria.
 The package is organized bottom-up:
 
 ``fock``
-    mode layouts, ladder operators, embeddings, initial states
+    mode layouts, the truncated ladder rule that builds every operator,
+    initial states
 ``quadratures``
     nonlinear quadratures Q^m, P^m and the commutator polynomials f_m
 ``dynamics``
-    interaction Hamiltonians and exact charge-sector time evolution
+    the interaction Hamiltonian and its exact time evolution, chain by chain
 ``covariance``
     4x4 higher-order covariance matrices: one type holds the covariance of
     one state or a (T, 4, 4) stack along a trajectory; standard form,
-    invariants, coskewness / cokurtosis blocks
+    invariants
 ``criteria``
     uncertainty and PPT inequalities, the nu-tilde witness, separability
     lemmas, the Nha-Zubairy comparator
 ``sweep``
     trajectory sweeps over the interaction parameter, CSV/plot emission,
     convergence checking (CLI in ``cli``)
+
+The package needs numpy only.
 """
 
 from .fock import (
@@ -27,12 +30,8 @@ from .fock import (
     QuantumState,
     TruncatedOperator,
     TruncationError,
-    annihilation,
     coherent_state,
-    creation,
-    embed,
     fock_state,
-    number_operator,
     product_state,
     thermal_state,
     top_level_population,
@@ -43,17 +42,14 @@ from .quadratures import (
     MAX_ORDER,
     QuadraturePair,
     UnsupportedOrderError,
-    expectation,
     f_operator,
     f_values,
     nonlinear_quadratures,
-    symmetrized_covariance,
 )
 from .dynamics import (
     EvolutionConfig,
     IntegratorError,
     InteractionSpec,
-    build_classical_pump_hamiltonian,
     build_hamiltonian,
     evolve,
 )
@@ -62,9 +58,7 @@ from .covariance import (
     Invariants,
     StandardForm,
     build_covariance,
-    cokurtosis,
     covariance_stack,
-    coskewness_block,
     invariants,
     mirror_reflect,
     standard_form,

@@ -41,12 +41,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
-from .fock import DegenerateStateError, ModeLayout, QuantumState, TruncatedOperator, occupations, shift
-from .quadratures import check_order, f_values, nonlinear_quadratures
+from .fock import DegenerateStateError, ModeLayout, QuantumState, occupations, shift
+from .quadratures import check_order, f_values
 
 _MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 # states per block of covariance_stack's sums; it bounds their temporaries
@@ -384,77 +384,3 @@ def standard_form(cov: HigherOrderCovariance) -> StandardForm:
     for t in (t_a, t_b):
         t.flags.writeable = False
     return StandardForm(nu_a, nu_b, c1, c2, cov.f_ka, cov.f_lb, t_a, t_b)
-
-
-def _linear_quads(layout: ModeLayout):
-    qa = nonlinear_quadratures(layout, layout.mode_a, 1)
-    qb = nonlinear_quadratures(layout, layout.mode_b, 1)
-    return qa.q.data, qa.p.data, qb.q.data, qb.p.data
-
-
-def _pure_vector(state: QuantumState, name: str) -> np.ndarray:
-    if not state.is_pure:
-        raise ValueError(f"{name} reads pure states; got a density matrix")
-    return state.vector
-
-
-def coskewness_block(state: QuantumState) -> np.ndarray:
-    """Third-moment block coupling linear A quadratures to quadratic B forms.
-
-    Rows: (q_A, p_A); columns: (q_B^2 - p_B^2, q_B p_B + p_B q_B). The
-    operator orderings are Hermitian as written, so the entries are real. For
-    zero-mean down-conversion states this block equals the C block of the
-    n = 1 covariance of the k = 1, l = 2 process. A density matrix is
-    refused with ValueError.
-    """
-    psi = _pure_vector(state, "coskewness_block")
-    qa, pa, qb, pb = _linear_quads(state.layout)
-    out = np.zeros((2, 2))
-    qb2 = qb @ (qb @ psi)
-    pb2 = pb @ (pb @ psi)
-    sym = qb @ (pb @ psi) + pb @ (qb @ psi)
-    for row, op in enumerate((qa, pa)):
-        w = op @ psi
-        e1 = complex(np.vdot(w, qb2 - pb2))
-        e2 = complex(np.vdot(w, sym))
-        out[row, 0], out[row, 1] = e1.real, e2.real
-        if max(abs(e1.imag), abs(e2.imag)) > 1e-8:
-            raise ValueError("coskewness entries came out complex")
-    return out
-
-
-_SELECTORS = {"qa": 0, "pa": 1, "qb": 2, "pb": 3}
-
-
-def _resolve_selector(sel, layout: ModeLayout):
-    if isinstance(sel, TruncatedOperator):
-        return sel.data
-    if isinstance(sel, str) and sel.lower() in _SELECTORS:
-        return _linear_quads(layout)[_SELECTORS[sel.lower()]]
-    raise ValueError(f"unknown quadrature selector {sel!r}; use qA/pA/qB/pB or an operator")
-
-
-def cokurtosis(state: QuantumState, x, y, z, w) -> float:
-    """Fourth-order joint cumulant with Weyl ordering over the four slots:
-
-        sigma(X,Y,Z,W) = <XYZW>_W - <XY>_s<ZW>_s - <XZ>_s<YW>_s - <XW>_s<YZ>_s
-
-    where <...>_W averages all operator orderings and <..>_s symmetrizes pairs.
-    Selectors are 'qA', 'pA', 'qB', 'pB' or explicit Hermitian operators.
-    A density matrix is refused with ValueError.
-    """
-    psi = _pure_vector(state, "cokurtosis")
-    ops = [_resolve_selector(s, state.layout) for s in (x, y, z, w)]
-
-    def pair_sym(i, j):
-        # Re<AB> = <{A,B}>/2 for Hermitian A, B
-        return complex(np.vdot(ops[i] @ psi, ops[j] @ psi)).real
-
-    fourth = 0.0 + 0.0j
-    for i, j, kk, ll in permutations(range(4)):
-        fourth += np.vdot(psi, ops[i] @ (ops[j] @ (ops[kk] @ (ops[ll] @ psi))))
-    fourth /= 24.0
-    if abs(fourth.imag) > 1e-8:
-        raise ValueError(f"Weyl-ordered fourth moment has imaginary residue {fourth.imag:.2e}")
-    return float(fourth.real) - pair_sym(0, 1) * pair_sym(2, 3) \
-        - pair_sym(0, 2) * pair_sym(1, 3) - pair_sym(0, 3) * pair_sym(1, 2)

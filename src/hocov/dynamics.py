@@ -9,25 +9,28 @@ xi = kappa * t * alpha_p, so grid times are t_j = xi_j / (kappa * alpha_p).
 
 a+^k b+^l p moves the flat Fock index r = (n_p d_A + n_a) d_B + n_b by
 -(d_A d_B - k d_B - l), so H is two masked diagonals at that offset and its
-negative. The builders write those CSR arrays row by row from the ladder
+negative: ``fock.two_band`` with c = i kappa, the same builder as every
+other operator here, writes those CSR arrays row by row from the ladder
 powers of ``fock.shift``, whose module docstring states the truncation
-convention; the classical pump is the same two bands with the shifts (1, 1).
+convention.
 
 H conserves k N_P + N_A and l N_A - k N_B, so from |n0>_P |0,0> a state
 only ever visits the chain |n0 - j, k j, l j>. H is the direct sum of its
 charge blocks H_q on l N_A - k N_B = q, and ``build_hamiltonian(spec,
 charge=q)`` writes the rows of H_q only; the sweep starts in sector 0 and
 builds H_0 (6,490 of H's 713,900 nonzeros on window.cfg). H_q leaves a state
-outside sector q frozen, without an error. The builders return H as a CSR
-triple of numpy arrays, and evolution reads that triple, so this module
-needs no scipy.
+outside sector q frozen, without an error. ``build_hamiltonian`` returns H
+as a CSR triple of numpy arrays, and evolution reads that triple, so this
+module needs numpy only.
 
 Evolution is for pure states (a coherent pump and vacuum signal and idler
 stay pure) and reads H as the set of chains it is: every stored entry sits
 at (r, r +- s) for one offset s, so ordering the indices by (r mod s,
-r div s) lays each chain out as one run in path order, and an operator with
-a second offset is refused. Only the chains that meet the state's support
-are kept (60 chains, 1,820 of 376,320 states on window.cfg). A diagonal
+r div s) lays each chain out as one run in path order. An operator with a
+second offset is refused, and so is one whose entries at (r + s, r) are not
+the conjugates of those at (r, r + s). Only the chains that meet the
+state's support are kept (60 chains, 1,820 of 376,320 states on
+window.cfg). A diagonal
 phase gauge makes each chain a real symmetric tridiagonal T with zero
 diagonal, whose links join even sites to odd ones, T = [[0, B], [B^T, 0]];
 one batched SVD of the bidiagonals B, padded with zero links to one length,
@@ -43,9 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModeLayout, QuantumState, TruncatedOperator, shift
+from .fock import ModeLayout, QuantumState, TruncatedOperator, two_band
 
 NORM_TOL = 1e-8  # largest drift of an evolved state's norm from 1
+# largest |h[r + s, r] - conj(h[r, r + s])| relative to max |h| that evolve accepts
+HERMITIAN_TOL = 1e-12
 GRID_CHUNK = 16  # grid points propagated at once; bounds evolve's padded (C, L, points) arrays
 
 
@@ -66,8 +71,8 @@ class IntegratorError(RuntimeError):
 class InteractionSpec:
     """Process orders and coupling for the trilinear interaction.
 
-    k = l = 1 may only be used with the classical-pump oracle builder; the
-    trilinear builder requires k + l >= 3.
+    k and l are integers >= 1; ``build_hamiltonian`` also needs k + l >= 3,
+    since k = l = 1 is the Gaussian classical-pump process.
     """
 
     layout: ModeLayout
@@ -81,41 +86,6 @@ class InteractionSpec:
                 raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
         if not (self.kappa > 0 and math.isfinite(self.kappa)):  # NaN too
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
-
-
-def _two_band(layout: ModeLayout, shifts: tuple[int, ...], coupling: float,
-              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triple (values, indices, indptr) of i*coupling*(U - U+) on the
-    sorted ``rows`` (all rows when None).
-
-    U is the product of truncated ladder powers ``shifts`` (``fock.shift``),
-    a flat index shift r -> r + t, and ``rows`` must be closed under U and
-    U+ (a charge sector is). Where U takes |s> to |r> with weight w, H holds
-    i g w at (r, s) and -i g w at (s, r); only the given rows are written,
-    and the other rows of the (n, n) matrix are empty.
-    """
-    n = layout.total_dim
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    at, target, weight = shift(layout, rows, shifts)
-    source = rows[at]
-    # (row, column, value) of i g U and of -i g U+
-    bands = [(target, source, coupling * weight), (source, target, -coupling * weight)]
-    if source.size and target[0] < source[0]:
-        bands.reverse()  # t < 0: column i + t comes first in each row
-    # the index dtype scipy would pick, so its view does not copy them
-    itype = np.int32 if 2 * n < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=itype)
-    for row, _, _ in bands:
-        indptr[row + 1] += 1
-    np.cumsum(indptr, out=indptr)
-    # H is purely imaginary: only the imaginary parts are written
-    data = np.zeros(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=itype)
-    for (row, column, value), first in zip(bands, (True, False)):
-        pos = indptr[row] if first else indptr[row + 1] - 1
-        data.imag[pos] = value
-        indices[pos] = column
-    return data, indices, indptr
 
 
 def _charge_rows(layout: ModeLayout, k: int, l: int, charge: int) -> np.ndarray:
@@ -144,10 +114,8 @@ def build_hamiltonian(spec: InteractionSpec, charge: int | None = None) -> Trunc
     if layout.nmodes != 3:
         raise ValueError("trilinear interaction needs a (pump, A, B) layout")
     if spec.k + spec.l < 3:
-        raise ValueError(
-            "k + l >= 3 required for the nonlinear interaction; "
-            "use build_classical_pump_hamiltonian for the k = l = 1 Gaussian oracle"
-        )
+        raise ValueError("k + l >= 3 required for the nonlinear interaction; "
+                         "k = l = 1 is the Gaussian classical-pump process")
     _, dim_a, dim_b = layout.dims
     if spec.k >= dim_a:
         raise ValueError(f"k={spec.k} exceeds mode-A cutoff {dim_a}")
@@ -159,22 +127,7 @@ def build_hamiltonian(spec: InteractionSpec, charge: int | None = None) -> Trunc
         rows = _charge_rows(layout, spec.k, spec.l, int(charge))
     else:
         raise ValueError(f"charge must be an integer or None, got {charge!r}")
-    h = _two_band(layout, (-1, spec.k, spec.l), spec.kappa, rows)
-    return TruncatedOperator(layout, h, hermitian=True)
-
-
-def build_classical_pump_hamiltonian(spec: InteractionSpec, alpha_p: float) -> TruncatedOperator:
-    """Gaussian oracle H = i*kappa*alpha_p*(a+b+ - ab) on a two-mode (A, B) layout.
-
-    Evolving vacuum for time t yields two-mode squeezed vacuum with
-    r = kappa * alpha_p * t and <N_A> = sinh(r)^2.
-    """
-    layout = spec.layout
-    if layout.nmodes != 2:
-        raise ValueError("classical-pump oracle needs a two-mode (A, B) layout")
-    if spec.k != 1 or spec.l != 1:
-        raise ValueError("classical-pump oracle is defined for k = l = 1 only")
-    h = _two_band(layout, (1, 1), spec.kappa * alpha_p)
+    h = two_band(layout, (-1, spec.k, spec.l), 1j * spec.kappa, rows)
     return TruncatedOperator(layout, h, hermitian=True)
 
 
@@ -211,18 +164,19 @@ class EvolutionConfig:
         return np.asarray(self.xi_grid) / (self.kappa * self.alpha_p)
 
 
-
-
 def _chains(csr: tuple, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and links of the chains of the CSR triple (values, indices,
     indptr) of h that meet ``support``, padded to one even length L.
 
     Every stored entry must sit at (r, r + s) or (r, r - s) for one offset
-    s > 0, so h's sparsity graph is a set of paths r, r + s, r + 2s, ...;
-    any other operator is refused with ValueError. ``nodes`` (C, L) holds
-    each chain's flat indices in path order and -1 past its end, ``links``
-    (C, L - 1) holds h[node_j, node_j+1] and 0 past the end. A support index
-    that no entry touches is a chain of one node.
+    s > 0, so h's sparsity graph is a set of paths r, r + s, r + 2s, ...,
+    and h must be Hermitian: h[r + s, r] is stored where h[r, r + s] is and
+    equals its conjugate to HERMITIAN_TOL relative to max |h|, since the
+    chains read only h[r, r + s]. Any other operator is refused with
+    ValueError. ``nodes`` (C, L) holds each chain's flat indices in path
+    order and -1 past its end, ``links`` (C, L - 1) holds h[node_j, node_j+1]
+    and 0 past the end. A support index that no entry touches is a chain of
+    one node.
     """
     values, indices, indptr = csr
     n = len(indptr) - 1
@@ -236,7 +190,17 @@ def _chains(csr: tuple, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("evolve needs an operator whose entries all sit at (r, r +- s) for one "
                          f"s > 0; its entries use the offsets {', '.join(map(str, step))}")
     s = int(step[0]) if step.size else 1
-    start, link = rows[offset > 0], values[offset > 0]  # h[r, r + s], r rising
+    upper = offset > 0
+    start, link = rows[upper], values[upper]  # h[r, r + s], r rising
+    # h[r + s, r] in row order lines up with h[r, r + s] when h is Hermitian
+    mirror, mirror_link = rows[~upper] - s, values[~upper]
+    if mirror.size != start.size or np.any(mirror != start):
+        raise ValueError("evolve needs a Hermitian operator; h[r + s, r] and h[r, r + s] "
+                         "are not stored at the same r")
+    gap = np.abs(mirror_link - link.conj()).max(initial=0.0)
+    if not gap <= HERMITIAN_TOL * np.abs(link).max(initial=0.0):
+        raise ValueError(f"evolve needs a Hermitian operator; |h[r + s, r] - conj(h[r, r + s])| "
+                         f"reaches {gap:.3e}")
     # in (r mod s, r div s) order each chain's links form one run, in path order
     order = np.argsort(start % s, kind="stable")
     start, link = start[order], link[order]
@@ -300,10 +264,11 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
     """Propagate a pure ``state`` to every xi grid point (the first entry is t = 0).
 
     ``hamiltonian`` may be any Hermitian operator on the state's layout whose
-    stored entries all sit at (r, r +- s) for one offset s, as every builder
-    here makes; any other is refused with ValueError before any work. A
-    density matrix is refused too: the interaction keeps a pure initial
-    state pure. Amplitude on a row that ``hamiltonian`` leaves empty does not
+    stored entries all sit at (r, r +- s) for one offset s, as
+    ``build_hamiltonian`` makes; any other, or one whose lower band is not
+    the conjugate of its upper one, is refused with ValueError before any
+    work. A density matrix is refused too: the interaction keeps a pure
+    initial state pure. Amplitude on a row that ``hamiltonian`` leaves empty does not
     move, so a charge block H_q from ``build_hamiltonian(spec, charge=q)``
     freezes any part of the state outside sector q, with no error; pass H_q
     only for a state in sector q. The returned states share one support, the

@@ -1,4 +1,5 @@
-"""Truncated multimode Fock space: layouts, ladder operators, initial states.
+"""Truncated multimode Fock space: layouts, the truncated ladder rule, the
+operators built from it, and initial states.
 
 All multimode objects use a row-major basis over the mode order of the layout,
 i.e. for a three-mode layout (pump, A, B) the flat index of |n_p, n_a, n_b> is
@@ -9,7 +10,7 @@ A pure state is stored on its support only: the sorted flat indices it may
 occupy and its amplitudes there. The interaction keeps a trajectory on a
 few chains of the space (1,820 of 376,320 states on window.cfg), so nothing
 the sweep reads is a full-space vector; ``QuantumState.vector`` builds one on
-demand for the operator reference layer.
+demand.
 
 Ladder powers act on flat indices directly, with no operator formed:
 a+^m moves |j> to |j + m> with weight sqrt((j+1) ... (j+m)), and a^m is
@@ -20,18 +21,21 @@ truncated a+^m drops the top m levels and <a^m a+^m> is |a+^m psi|^2, not
 the flat index by sum(m_i * stride_i), with stride_i the product of the
 dims after mode i, and its weight is the square root of the product of
 the modes' integer factors. ``shift`` is that rule, and ``occupations``
-reads a mode's level off a flat index; the Hamiltonian's bands and the
-covariance's ladder powers are both built from them. ``annihilation`` and
-``embed`` form the same operators as matrices, as an independent reference.
+reads a mode's level off a flat index; the covariance's ladder powers are
+built from them.
 
-An operator on the full space is a ``TruncatedOperator``, held as a CSR
-triple of numpy arrays. Only the operator reference layer (``embed`` and an
-operator's ``data``, its scipy view) imports scipy, and only when it runs, so
-``import hocov`` and the sweep load numpy alone.
+Every operator the package makes, except the diagonal f_m(N), is
+c U + conj(c) U+ for one such product U, and ``two_band`` writes it as a
+CSR triple: the Hamiltonian with c = i kappa, the quadratures Q^m and P^m
+with c = 1/2 and c = i/2. An operator on the full space is a
+``TruncatedOperator`` that holds that triple. Its ``data`` is a scipy view
+built on first access, and nothing in the package reads it, so the package
+runs on numpy alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,8 +55,9 @@ class DegenerateStateError(ValueError):
 class ModeLayout:
     """Per-mode truncation dimensions.
 
-    Two-mode layouts are interpreted as (A, B) and exist for the classical-pump
-    Gaussian oracle; three-mode layouts are (pump, A, B).
+    Three-mode layouts are (pump, A, B), the interaction's modes. Two-mode
+    layouts are (A, B): the covariance and the criteria read them, for
+    example for a separable mixture or a two-mode squeezed state.
     """
 
     dims: tuple[int, ...]
@@ -98,7 +103,8 @@ class TruncatedOperator:
     indices[indptr[r]:indptr[r + 1]]. ``matrix`` is that triple or a scipy
     sparse matrix, whose CSR arrays become the triple. ``data`` is the scipy
     CSR view: the given matrix (in CSR form) when one was given, else built
-    from the triple on first access and kept.
+    from the triple on first access and kept. ``hermitian`` is the maker's
+    label; ``evolve`` checks the entries it reads itself.
     """
 
     layout: ModeLayout
@@ -134,14 +140,6 @@ class TruncatedOperator:
         n = self.layout.total_dim
         return sparse.csr_matrix(self.csr, shape=(n, n))
 
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.layout, self.data.conj().T, self.hermitian)
-
-    def __matmul__(self, other):
-        if isinstance(other, TruncatedOperator):
-            return TruncatedOperator(self.layout, self.data @ other.data)
-        return self.data @ other
-
 
 @dataclass(frozen=True, init=False)
 class QuantumState:
@@ -151,12 +149,12 @@ class QuantumState:
     and ``amplitudes`` the state's values there; every other amplitude is
     zero. ``QuantumState(layout, vector=v)`` keeps the nonzero entries of a
     dense vector, ``QuantumState.on_support`` takes the sparse form as it is,
-    and ``vector`` rebuilds the dense array on each access (for tests and
-    the operator layer; nothing on the sweep path reads it). A state that
-    ``evolve`` returns has the chains its trajectory reaches as ``support``,
-    a superset of its nonzero amplitudes. A density matrix is held as
+    and ``vector`` rebuilds the dense array on each access (nothing on the
+    sweep path reads it). A state that ``evolve`` returns has the chains its
+    trajectory reaches as ``support``, a superset of its nonzero amplitudes. A density matrix is held as
     ``matrix``, with every index as its support and no amplitudes; it must be
-    Hermitian to 1e-10, since ``build_covariance`` reads one triangle. ``time``
+    Hermitian to 1e-10, since ``build_covariance`` reads one triangle, and
+    have unit trace to 1e-8, as ``evolve`` holds a pure state's norm. ``time``
     records the physical time the state was evolved to (0 for freshly
     constructed states). All arrays are read-only.
     """
@@ -180,8 +178,11 @@ class QuantumState:
             if m.shape != (n, n):
                 raise ValueError(f"density matrix shape {m.shape} != ({n},{n})")
             gap = np.abs(m - m.conj().T).max()
-            if gap > 1e-10:
+            if not gap <= 1e-10:  # NaN fails too
                 raise ValueError(f"density matrix must be Hermitian, |rho - rho^H| reaches {gap:.3e}")
+            trace = np.trace(m).real
+            if not abs(trace - 1.0) <= 1e-8:
+                raise ValueError(f"density matrix must have unit trace; its trace is {trace:.12f}")
             self._hold(layout, np.arange(n), None, m, time)
 
     @classmethod
@@ -277,39 +278,38 @@ def shift(layout: ModeLayout, idx, shifts) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, idx[rows] + offset, np.sqrt(product[rows])
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator, a[n-1, n] = sqrt(n)."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+def two_band(layout: ModeLayout, shifts, coupling: complex,
+             rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR triple (values, indices, indptr) of c U + conj(c) U+ on the sorted
+    ``rows`` (all rows when None), with c = ``coupling``.
 
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).T.copy()
-
-
-def number_operator(dim: int) -> np.ndarray:
-    return np.diag(np.arange(float(dim)))
-
-
-def embed(op: np.ndarray, mode: int, layout: ModeLayout) -> TruncatedOperator:
-    """Embed a single-mode operator into the full space by Kronecker products."""
-    if not 0 <= mode < layout.nmodes:
-        raise ValueError(f"mode {mode} outside layout with {layout.nmodes} modes")
-    d = layout.dims[mode]
-    op = np.asarray(op)
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match mode dim {d}")
-    from scipy import sparse
-
-    full = sparse.csr_matrix(op)
-    for m, dm in enumerate(layout.dims):
-        if m == mode:
-            continue
-        eye = sparse.identity(dm, format="csr")
-        full = sparse.kron(eye, full, format="csr") if m < mode else sparse.kron(full, eye, format="csr")
-    herm = bool(np.allclose(op, op.conj().T, atol=1e-14))
-    return TruncatedOperator(layout, full.tocsr(), hermitian=herm)
+    U is the product of truncated ladder powers ``shifts`` (``shift``), a
+    flat index shift r -> r + t, and ``rows`` must be closed under U and U+
+    (a charge sector is). Where U takes |s> to |r> with weight w, the
+    operator holds c w at (r, s) and conj(c) w at (s, r); only the given rows
+    are written, and the other rows of the (n, n) matrix are empty.
+    """
+    n = layout.total_dim
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    at, target, weight = shift(layout, rows, shifts)
+    source = rows[at]
+    # (row, column, value) of c U and of conj(c) U+
+    bands = [(target, source, coupling * weight), (source, target, np.conj(coupling) * weight)]
+    if source.size and target[0] < source[0]:
+        bands.reverse()  # t < 0: column i + t comes first in each row
+    # int32 when it fits, the index dtype of the ``data`` view, so the view does not copy them
+    itype = np.int32 if 2 * n < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=itype)
+    for row, _, _ in bands:
+        indptr[row + 1] += 1
+    np.cumsum(indptr, out=indptr)
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=itype)
+    for (row, column, value), first in zip(bands, (True, False)):
+        pos = indptr[row] if first else indptr[row + 1] - 1
+        data[pos] = value
+        indices[pos] = column
+    return data, indices, indptr
 
 
 def coherent_state(alpha: complex, dim: int, allow_truncation: bool = False) -> np.ndarray:
@@ -317,8 +317,11 @@ def coherent_state(alpha: complex, dim: int, allow_truncation: bool = False) -> 
 
     The adequacy guard requires |alpha|^2 <= dim/4 so that the Poisson tail is
     far below the cutoff; pass allow_truncation=True to override (the caller
-    then owns monitoring the top-level population).
+    then owns monitoring the top-level population). A non-finite alpha is
+    refused with ValueError.
     """
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude alpha must be finite, got {alpha!r}")
     nbar = abs(alpha) ** 2
     if nbar > dim / 4 and not allow_truncation:
         raise TruncationError(
@@ -342,8 +345,8 @@ def coherent_state(alpha: complex, dim: int, allow_truncation: bool = False) -> 
 
 def thermal_state(n_th: float, dim: int) -> np.ndarray:
     """Truncated thermal density matrix, p_n ~ (n_th/(1+n_th))^n, renormalized."""
-    if n_th < 0:
-        raise ValueError("mean thermal occupation must be >= 0")
+    if not (n_th >= 0 and math.isfinite(n_th)):  # NaN too
+        raise ValueError(f"mean thermal occupation n_th must be finite and >= 0, got {n_th!r}")
     if n_th == 0:
         p = np.zeros(dim)
         p[0] = 1.0
@@ -375,14 +378,19 @@ def product_state(layout: ModeLayout, *factors) -> QuantumState:
     """Tensor product of per-mode factors (vectors and/or density matrices).
 
     If every factor is a vector the result is pure; otherwise everything is
-    promoted to density matrices.
+    promoted to density matrices. Each factor must be finite with a positive
+    norm (a vector) or trace (a matrix), since the product is renormalized.
     """
     if len(factors) != layout.nmodes:
         raise ValueError("one factor per mode required")
     factors = [np.asarray(f, dtype=complex) for f in factors]
-    for f, d in zip(factors, layout.dims):
+    for i, (f, d) in enumerate(zip(factors, layout.dims)):
         if f.shape not in ((d,), (d, d)):
             raise ValueError(f"factor shape {f.shape} does not match mode dim {d}")
+        size = np.linalg.norm(f) if f.ndim == 1 else np.trace(f).real
+        if not (np.isfinite(f).all() and size > 0):
+            raise ValueError(f"factor {i} must be finite with a positive "
+                             f"{'norm' if f.ndim == 1 else 'trace'}, got {size:.3g}")
     if all(f.ndim == 1 for f in factors):
         vec = factors[0]
         for f in factors[1:]:

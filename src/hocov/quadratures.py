@@ -17,21 +17,21 @@ configs/competition.cfg at n = 5 (order 15 on B) has covariance entries of
 -375 at 0.06, each row reading ``entangled`` and ``ok``; at n = 4
 (order 12) the values were smooth.
 
-The embedded Q^m, P^m come from ``fock.embed`` and so load scipy when first
-built; ``f_operator`` is a diagonal CSR triple and needs numpy only.
+Q^m and P^m are the one band pair ``fock.two_band`` writes for the shift
+a+^m on one mode, with c = 1/2 and c = i/2, and ``f_operator`` is a diagonal
+CSR triple; both need numpy only. Nothing on the sweep path forms them:
+the covariance reads the same ladder powers through ``fock.shift``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import ModeLayout, QuantumState, TruncatedOperator, annihilation, embed
+from .fock import ModeLayout, TruncatedOperator, occupations, two_band
 
 MAX_ORDER = 9
-IMAG_TOL = 1e-8  # largest imaginary part <op> of a Hermitian operator may show
 
 
 class UnsupportedOrderError(ValueError):
@@ -51,24 +51,9 @@ def f_values(m: int, n) -> np.ndarray:
     return (rising - falling) / 2
 
 
-@lru_cache(maxsize=None)
-def _single_mode_power(dim: int, m: int) -> np.ndarray:
-    a = annihilation(dim)
-    return np.linalg.matrix_power(a, m)
-
-
-@lru_cache(maxsize=None)
-def _embedded_quadratures(dims: tuple[int, ...], mode: int, m: int):
-    layout = ModeLayout(dims)
-    am = _single_mode_power(layout.dims[mode], m)
-    q1 = (am + am.T) / 2.0
-    p1 = 1j * (am.T - am) / 2.0
-    return embed(q1, mode, layout), embed(p1, mode, layout)
-
-
 @dataclass(frozen=True)
 class QuadraturePair:
-    """Q^m and P^m of one mode, embedded in the full space."""
+    """Q^m and P^m of one mode, on the full space."""
 
     mode: int
     m: int
@@ -85,53 +70,17 @@ def check_order(layout: ModeLayout, mode: int, m: int) -> None:
 
 
 def nonlinear_quadratures(layout: ModeLayout, mode: int, m: int) -> QuadraturePair:
-    """Embedded Q^m, P^m for ``mode``; m must not exceed MAX_ORDER."""
+    """Q^m = (a^m + a+^m)/2 and P^m = i(a+^m - a^m)/2 of ``mode`` on the full
+    space; m must not exceed MAX_ORDER."""
     check_order(layout, mode, m)
-    q, p = _embedded_quadratures(layout.dims, mode, m)
+    shifts = [m if i == mode else 0 for i in range(layout.nmodes)]
+    q, p = (TruncatedOperator(layout, two_band(layout, shifts, c), hermitian=True) for c in (0.5, 0.5j))
     return QuadraturePair(mode, m, q, p)
 
 
 def f_operator(layout: ModeLayout, mode: int, m: int) -> TruncatedOperator:
     """Diagonal operator f_m(N_mode) on the full space."""
-    diag_single = f_values(m, np.arange(layout.dims[mode]))
-    diag = np.ones(1)
-    for i, d in enumerate(layout.dims):
-        diag = np.kron(diag, diag_single if i == mode else np.ones(d))
-    # f_m(N) >= m!/2 > 0, so every diagonal entry is stored
     rows = np.arange(layout.total_dim + 1, dtype=np.int32)
+    diag = f_values(m, occupations(layout, rows[:-1], mode))
+    # f_m(N) >= m!/2 > 0, so every diagonal entry is stored
     return TruncatedOperator(layout, (diag, rows[:-1], rows), hermitian=True)
-
-
-def expectation(op, state: QuantumState) -> complex:
-    """<op> on a pure or mixed state. Accepts TruncatedOperator or sparse/ndarray."""
-    mat = op.data if isinstance(op, TruncatedOperator) else op
-    if state.is_pure:
-        psi = state.vector
-        return complex(np.vdot(psi, mat @ psi))
-    return complex(np.trace(mat @ state.matrix))
-
-
-def symmetrized_covariance(op1, op2, state: QuantumState) -> float:
-    """Cov_sym(op1, op2) = <{op1, op2}>/2 - <op1><op2> for Hermitian operators.
-
-    The symmetrized moment of two Hermitian operators is real up to numerics;
-    a residual imaginary part above IMAG_TOL raises.
-    """
-    m1 = op1.data if isinstance(op1, TruncatedOperator) else op1
-    m2 = op2.data if isinstance(op2, TruncatedOperator) else op2
-    if state.is_pure:
-        psi = state.vector
-        w1 = m1 @ psi
-        w2 = m2 @ psi
-        m12 = complex(np.vdot(w1, w2))  # <op1 op2> using hermiticity of op1
-        e1 = complex(np.vdot(psi, w1))
-        e2 = complex(np.vdot(psi, w2))
-    else:
-        m12 = expectation(m1 @ m2, state)
-        e1 = expectation(m1, state)
-        e2 = expectation(m2, state)
-    sym = m12.real - e1.real * e2.real  # Re<op1 op2> = <{op1,op2}>/2 for Hermitian ops
-    for z, name in ((e1, "op1"), (e2, "op2")):
-        if abs(z.imag) > IMAG_TOL:
-            raise ValueError(f"<{name}> has imaginary residue {z.imag:.2e} (not Hermitian?)")
-    return float(sym)

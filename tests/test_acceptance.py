@@ -34,7 +34,6 @@ from hocov import (
     ModeLayout,
     QuantumState,
     StandardForm,
-    build_classical_pump_hamiltonian,
     build_covariance,
     build_hamiltonian,
     coherent_state,
@@ -54,6 +53,7 @@ from hocov import (
 from hocov.covariance import HigherOrderCovariance
 from hocov.quadratures import f_values
 from hocov.sweep import config_from_file, convergence_check, run_sweep, write_csv
+from reference import classical_pump
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BAND = 1e-9
@@ -166,7 +166,7 @@ def test_03_gaussian_oracle():
     worst_entry = 0.0
     for r, dim in ((0.25, 24), (0.5, 24), (1.0, 40)):
         lay = ModeLayout((dim, dim))
-        ham = build_classical_pump_hamiltonian(InteractionSpec(lay, 1, 1, 1.0), 2.0)
+        ham = classical_pump(lay, 2.0)
         cfg = EvolutionConfig(xi_grid=(0.0, r), kappa=1.0, alpha_p=2.0)
         state = evolve(vacuum_state(lay), ham, cfg)[-1]
         cov = build_covariance(state, 1, 1, 1)
@@ -247,7 +247,7 @@ def test_05_witness_inequality_equivalence(window_sweep, hierarchy_sweep,
                       f"k={sys_cfg['k']} l={sys_cfg['l']} xi={xi} n={n}")
 
     lay = ModeLayout((30, 30))
-    ham = build_classical_pump_hamiltonian(InteractionSpec(lay, 1, 1, 1.0), 2.0)
+    ham = classical_pump(lay, 2.0)
     r_grid = tuple(np.round(np.linspace(0.0, 1.0, 101), 12))
     evo = EvolutionConfig(xi_grid=r_grid, kappa=1.0, alpha_p=2.0)
     for r, state in zip(r_grid, evolve(vacuum_state(lay), ham, evo)):

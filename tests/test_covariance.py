@@ -10,17 +10,12 @@ from hocov import (
     InteractionSpec,
     ModeLayout,
     QuantumState,
-    build_classical_pump_hamiltonian,
     build_covariance,
     build_hamiltonian,
     coherent_state,
-    cokurtosis,
-    coskewness_block,
     covariance_stack,
     evaluate_stack,
     evolve,
-    expectation,
-    f_operator,
     inequality7_margin,
     inequality8_margin,
     invariants,
@@ -29,20 +24,12 @@ from hocov import (
     nonlinear_quadratures,
     product_state,
     standard_form,
-    symmetrized_covariance,
     top_level_population,
     uncertainty_margin,
     vacuum_state,
     witness_nu_minus,
 )
-
-
-def tmsv_state(r, dim=24):
-    lay = ModeLayout((dim, dim))
-    spec = InteractionSpec(lay, k=1, l=1, kappa=1.0)
-    h = build_classical_pump_hamiltonian(spec, 2.0)
-    cfg = EvolutionConfig(xi_grid=(0.0, r), kappa=1.0, alpha_p=2.0)
-    return evolve(vacuum_state(lay), h, cfg)[-1]
+from reference import cokurtosis, coskewness_block, expectation, quadratures, reference_covariance, tmsv_state
 
 
 def spdc_state(xi=0.3, dims=(6, 5, 9), k=1, l=2, alpha=1.5):
@@ -88,20 +75,6 @@ def test_vacuum_covariance_diagonal():
         assert np.abs(cov.matrix - np.diag([da, da, db, db])).max() < 1e-12
         assert cov.f_ka == pytest.approx(math.factorial(n * k) / 2)
         assert cov.f_lb == pytest.approx(math.factorial(n * l) / 2)
-
-
-def reference_covariance(state, n, k, l):
-    """V, <R> and the f expectations from the embedded quadrature operators."""
-    lay = state.layout
-    qa = nonlinear_quadratures(lay, lay.mode_a, n * k)
-    qb = nonlinear_quadratures(lay, lay.mode_b, n * l)
-    ops = [qa.q, qa.p, qb.q, qb.p]
-    second = np.array([[expectation(x @ y, state) for y in ops] for x in ops])
-    first = np.array([expectation(x, state) for x in ops])
-    v = second.real - np.outer(first.real, first.real)
-    f_ka = expectation(f_operator(lay, lay.mode_a, n * k), state).real
-    f_lb = expectation(f_operator(lay, lay.mode_b, n * l), state).real
-    return ops, (v + v.T) / 2, first, f_ka, f_lb
 
 
 def test_moment_imaginary_parts_are_commutators():
@@ -235,18 +208,15 @@ def test_covariance_stack_matches_the_operator_path(n):
     support, amps = random_stack(rng, lay, 150, 5)
     stack = covariance_stack(lay, support, amps, n, 1, 2)
     assert len(stack) == 5 and stack.matrix.shape == (5, 4, 4)
-    qa = nonlinear_quadratures(lay, lay.mode_a, n)
-    qb = nonlinear_quadratures(lay, lay.mode_b, 2 * n)
-    ops = [qa.q, qa.p, qb.q, qb.p]
     for t in range(5):
         state = QuantumState.on_support(lay, support, amps[t])
-        v = np.array([[symmetrized_covariance(x, y, state) for y in ops] for x in ops])
-        first = np.array([expectation(x, state).real for x in ops])
+        _, v, first, f_ka, f_lb = reference_covariance(state, n, 1, 2)
+        first = first.real
         scale = max(1.0, np.abs(v).max())
         assert np.abs(stack.matrix[t] - v).max() < 1e-12 * scale, t
         assert np.abs(stack.first_moments[t] - first).max() < 1e-12 * scale, t
-        assert stack.f_ka[t] == pytest.approx(expectation(f_operator(lay, lay.mode_a, n), state).real, rel=1e-12)
-        assert stack.f_lb[t] == pytest.approx(expectation(f_operator(lay, lay.mode_b, 2 * n), state).real, rel=1e-12)
+        assert stack.f_ka[t] == pytest.approx(f_ka, rel=1e-12)
+        assert stack.f_lb[t] == pytest.approx(f_lb, rel=1e-12)
         # outside charge 0: nonzero first moments and <Q^2> != <P^2>
         if t:
             assert np.abs(first).max() > 1e-3
@@ -454,36 +424,37 @@ def test_coskewness_equals_covariance_cross_block():
     assert np.abs(block - cov.block_c).max() < 1e-11
 
 
+def linear_quadratures(lay):
+    """The reference q_A, p_A, q_B, p_B of ``lay`` by name."""
+    ops = (*quadratures(lay, lay.mode_a, 1), *quadratures(lay, lay.mode_b, 1))
+    return dict(zip(("qA", "pA", "qB", "pB"), ops))
+
+
 def test_cokurtosis_vanishes_on_gaussian_states():
     # Weyl-ordered fourth cumulants of any Gaussian state vanish identically
     names = ("qA", "pA", "qB", "pB")
     state = tmsv_state(0.3, dim=20)
+    ops = linear_quadratures(state.layout)
     rng = np.random.default_rng(3)
     for _ in range(25):
         combo = rng.choice(names, size=4)
-        assert abs(cokurtosis(state, *combo)) < 1e-9, combo
+        assert abs(cokurtosis(state, *(ops[c] for c in combo))) < 1e-9, combo
     vac = vacuum_state(ModeLayout((6, 6)))
+    ops = linear_quadratures(vac.layout)
     for combo in (("qA",) * 4, ("qA", "qA", "pA", "pA"), ("qA", "qB", "qB", "qB")):
-        assert abs(cokurtosis(vac, *combo)) < 1e-12
+        assert abs(cokurtosis(vac, *(ops[c] for c in combo))) < 1e-12
 
 
 def test_cokurtosis_reconstructs_cubic_cross_block():
     # diagonal of the (1,3)-process C block from fourth joint cumulants
     state = spdc_state(xi=0.3, dims=(6, 5, 13), k=1, l=3)
     cov = build_covariance(state, 1, 1, 3)
-    c00 = cokurtosis(state, "qA", "qB", "qB", "qB") - 3 * cokurtosis(state, "qA", "qB", "pB", "pB")
-    c11 = -cokurtosis(state, "pA", "pB", "pB", "pB") + 3 * cokurtosis(state, "pA", "qB", "qB", "pB")
+    ops = linear_quadratures(state.layout)
+    qa, pa, qb, pb = (ops[c] for c in ("qA", "pA", "qB", "pB"))
+    c00 = cokurtosis(state, qa, qb, qb, qb) - 3 * cokurtosis(state, qa, qb, pb, pb)
+    c11 = -cokurtosis(state, pa, pb, pb, pb) + 3 * cokurtosis(state, pa, qb, qb, pb)
     assert c00 == pytest.approx(cov.block_c[0, 0], abs=1e-9)
     assert c11 == pytest.approx(cov.block_c[1, 1], abs=1e-9)
-
-
-def test_higher_moments_refuse_a_density_matrix():
-    lay = ModeLayout((5, 5))
-    mixed = product_state(lay, np.eye(5) / 5, coherent_state(0.3, 5))
-    with pytest.raises(ValueError, match="coskewness_block reads pure states"):
-        coskewness_block(mixed)
-    with pytest.raises(ValueError, match="cokurtosis reads pure states"):
-        cokurtosis(mixed, "qA", "qA", "qB", "qB")
 
 
 def test_cubic_quadrature_decomposition():
@@ -500,13 +471,3 @@ def test_cubic_quadrature_decomposition():
     safe = (dim - 3) * 2
     assert np.abs((q3 - pair3.q.data.toarray())[:safe, :safe]).max() < 1e-12
     assert np.abs((p3 - pair3.p.data.toarray())[:safe, :safe]).max() < 1e-12
-
-
-def test_cokurtosis_accepts_operators_and_rejects_unknown():
-    vac = vacuum_state(ModeLayout((5, 5)))
-    pair = nonlinear_quadratures(vac.layout, 0, 1)
-    direct = cokurtosis(vac, pair.q, pair.q, pair.q, pair.q)
-    named = cokurtosis(vac, "qA", "qA", "qA", "qA")
-    assert direct == pytest.approx(named, abs=1e-14)
-    with pytest.raises(ValueError):
-        cokurtosis(vac, "qa", "pa", "qc", "pb")

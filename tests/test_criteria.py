@@ -18,42 +18,27 @@ from hocov import (
     NumericalConsistencyError,
     QuantumState,
     StandardForm,
-    build_classical_pump_hamiltonian,
     build_covariance,
     build_hamiltonian,
     coherent_state,
     covariance_stack,
-    embed,
     evaluate_criteria,
     evaluate_stack,
     evolve,
-    expectation,
     inequality7_margin,
     inequality8_margin,
     lemma1_check,
     lemma2_transform,
     nha_zubairy,
-    nonlinear_quadratures,
     nz_values,
-    number_operator,
     product_state,
     standard_form,
-    symmetrized_covariance,
     thermal_state,
     uncertainty_margin,
     vacuum_state,
     witness_nu_minus,
 )
-
-
-def tmsv_state(r, dim=24):
-    lay = ModeLayout((dim, dim))
-    if r == 0.0:
-        return vacuum_state(lay)
-    spec = InteractionSpec(lay, k=1, l=1, kappa=1.0)
-    h = build_classical_pump_hamiltonian(spec, 2.0)
-    cfg = EvolutionConfig(xi_grid=(0.0, r), kappa=1.0, alpha_p=2.0)
-    return evolve(vacuum_state(lay), h, cfg)[-1]
+from reference import embed, expectation, number_operator, quadratures, symmetrized_covariance, tmsv_state
 
 
 def spdc_trajectory(dims=(8, 7, 13), k=1, l=2, alpha=1.3, xi_max=0.5, steps=5):
@@ -215,10 +200,9 @@ def test_nha_zubairy_detects_downconversion():
     g = np.random.default_rng(8).normal(size=(lay.total_dim, 2 * lay.total_dim))
     g = g[:, ::2] + 1j * g[:, 1::2]
     noise = QuantumState(lay, matrix=g @ g.conj().T / np.trace(g @ g.conj().T).real)
-    qa = nonlinear_quadratures(lay, lay.mode_a, 1)
-    qb = nonlinear_quadratures(lay, lay.mode_b, 2)
-    l1 = qa.q.data - qb.q.data
-    l2 = qa.p.data + qb.p.data
+    (q_a, p_a), (q_b, p_b) = quadratures(lay, lay.mode_a, 1), quadratures(lay, lay.mode_b, 2)
+    l1 = q_a - q_b
+    l2 = p_a + p_b
     n_b = embed(number_operator(13), lay.mode_b, lay)
     for state in (*states, displaced, mixed, therm, noise):
         expected = (symmetrized_covariance(l1, l1, state) * symmetrized_covariance(l2, l2, state)
@@ -358,24 +342,54 @@ def test_lemma2_without_admissible_root_raises():
         lemma2_transform(sf)
 
 
+NO_SCIPY = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
 def test_import_and_sweep_load_numpy_only(tmp_path):
-    # the sweep, its CSV and the convergence check run on numpy alone: after
-    # the import they load no scipy module and no numpy submodule
+    # with every scipy import blocked, the CLI's sweep, check and plotdata,
+    # a density certification and the operators the package builds all run;
+    # after the import, the three commands load no numpy submodule
     src = str(Path(hocov.__file__).resolve().parents[1])
-    code = (
-        "import sys, hocov\n"
-        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("k = 1\nl = 2\nalpha_p = 1.0\ndims = 12, 8, 15\nxi_max = 0.06\n"
+                   "xi_step = 0.03\nhierarchy = 1, 2\n", encoding="utf-8")
+    code = NO_SCIPY + (
+        "import numpy as np, hocov\n"
+        "from hocov.cli import main\n"
+        "cfg, csv, tsv = sys.argv[1:]\n"
         "loaded = set(sys.modules)\n"
-        "cfg = hocov.SweepConfig(k=1, l=2, alpha_p=1.0, dims=(12, 6, 11), xi_max=0.06,\n"
-        "                        xi_step=0.03, hierarchy=(1, 2))\n"
-        "hocov.write_csv(hocov.run_sweep(cfg, keep_states=False), sys.argv[1])\n"
-        "hocov.convergence_check(cfg, stride=1)\n"
-        "print(sorted(m for m in set(sys.modules) - loaded if m.startswith(('scipy', 'numpy.'))))\n"
+        "assert main(['sweep', '--config', cfg, '--out', csv]) == 0\n"
+        "assert main(['check', '--config', cfg, '--stride', '1']) == 0\n"
+        "assert main(['plotdata', '--in', csv, '--out', tsv, '--series', 'nu1,nu2']) == 0\n"
+        "print(sorted(m for m in set(sys.modules) - loaded if m.startswith('numpy.')))\n"
+        "rng = np.random.default_rng(71)\n"
+        "lay = hocov.ModeLayout((12, 12))\n"
+        "beta = 0.5 * (rng.normal(size=20) + 1j * rng.normal(size=20))\n"
+        "gamma = 0.6 * beta + 0.15 * (rng.normal(size=20) + 1j * rng.normal(size=20))\n"
+        "vecs = np.array([np.kron(hocov.coherent_state(b, 12, True), hocov.coherent_state(g, 12, True))\n"
+        "                 for b, g in zip(beta, gamma)])\n"
+        "rho = vecs.T @ vecs.conj() / len(vecs)\n"
+        "sf = hocov.standard_form(hocov.build_covariance(hocov.QuantumState(lay, matrix=rho), 1, 1, 1))\n"
+        "print(hocov.lemma1_check(hocov.lemma2_transform(sf).as_covariance()) >= -1e-8)\n"
+        "pair = hocov.nonlinear_quadratures(hocov.ModeLayout((12, 6, 11)), 2, 3)\n"
+        "f = hocov.f_operator(pair.q.layout, 2, 3)\n"
+        "print([type(a).__name__ for op in (pair.q, pair.p, f) for a in op.csr])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tiny.csv")],
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "tiny.csv"),
+                          str(tmp_path / "tiny.tsv")],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-4:] == ["[]", "True", str(["ndarray"] * 9), "[]"]
 
 
 def test_lemma2_rejects_negative_detc():

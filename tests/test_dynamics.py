@@ -14,19 +14,25 @@ from hocov import (
     ModeLayout,
     QuantumState,
     TruncatedOperator,
-    annihilation,
-    build_classical_pump_hamiltonian,
     build_hamiltonian,
     coherent_state,
-    embed,
     evolve,
-    expectation,
-    number_operator,
+    nonlinear_quadratures,
     product_state,
     vacuum_state,
 )
 import hocov.dynamics
 from hocov.dynamics import _chains
+from hocov.fock import two_band
+from reference import (
+    classical_pump,
+    embed,
+    expectation,
+    kronecker_hamiltonian,
+    number_operator,
+    quadratures,
+    reference_ladder_product,
+)
 
 
 def trilinear_setup(dims=(6, 5, 9), k=1, l=2, kappa=1.0):
@@ -43,21 +49,6 @@ def test_hamiltonian_is_hermitian_and_traceless():
     assert h.hermitian
 
 
-def kronecker_hamiltonian(spec, alpha_p=None):
-    """Reference H from embedded single-mode operators and sparse products."""
-    lay = spec.layout
-    if alpha_p is None:
-        adag_k = np.linalg.matrix_power(annihilation(lay.dims[1]).T, spec.k)
-        bdag_l = np.linalg.matrix_power(annihilation(lay.dims[2]).T, spec.l)
-        up = (embed(adag_k, 1, lay).data @ embed(bdag_l, 2, lay).data
-              @ embed(annihilation(lay.dims[0]), 0, lay).data)
-        g = spec.kappa
-    else:
-        up = embed(annihilation(lay.dims[0]).T, 0, lay).data @ embed(annihilation(lay.dims[1]).T, 1, lay).data
-        g = spec.kappa * alpha_p
-    return (1j * g * (up - up.conj().T)).tocsr()
-
-
 def assert_same_operator(h, ref):
     ref.sort_indices()
     assert h.nnz == ref.nnz
@@ -70,15 +61,24 @@ def assert_same_operator(h, ref):
 @pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 1), (2, 3)])
 @pytest.mark.parametrize("dims", [(5, 7, 8), (6, 4, 12), (9, 11, 13), (2, 4, 4)])
 def test_banded_hamiltonian_matches_kronecker_construction(k, l, dims):
-    spec = InteractionSpec(ModeLayout(dims), k=k, l=l, kappa=1.7)
+    lay = ModeLayout(dims)
+    spec = InteractionSpec(lay, k=k, l=l, kappa=1.7)
     assert_same_operator(build_hamiltonian(spec).data, kronecker_hamiltonian(spec))
+    # the quadratures come from the same band builder, with c = 1/2 and i/2
+    for mode, m in ((0, 1), (1, k), (2, l)):
+        pair = nonlinear_quadratures(lay, mode, m)
+        q, p = quadratures(lay, mode, m)
+        assert_same_operator(pair.q.data, q)
+        assert_same_operator(pair.p.data, p)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (5, 9), (12, 7), (24, 24)])
 def test_classical_pump_matches_kronecker_construction(dims):
-    spec = InteractionSpec(ModeLayout(dims), k=1, l=1, kappa=0.8)
-    assert_same_operator(build_classical_pump_hamiltonian(spec, 2.5).data,
-                         kronecker_hamiltonian(spec, alpha_p=2.5))
+    # the band builder on a two-mode layout, with the shifts (1, 1)
+    lay = ModeLayout(dims)
+    spec = InteractionSpec(lay, k=1, l=1, kappa=0.8)
+    h = TruncatedOperator(lay, two_band(lay, (1, 1), 1j * 0.8 * 2.5), hermitian=True)
+    assert_same_operator(h.data, kronecker_hamiltonian(spec, alpha_p=2.5))
 
 
 class WrappedMatrix(sparse.csr_matrix):
@@ -254,7 +254,7 @@ def test_chain_reader_finds_the_components_of_every_hamiltonian(k, l, dims):
 @pytest.mark.parametrize("dims", [(2, 2), (5, 9), (12, 7)])
 def test_chain_reader_finds_the_components_of_the_classical_pump(dims):
     rng = np.random.default_rng(dims[0])
-    h = build_classical_pump_hamiltonian(InteractionSpec(ModeLayout(dims), k=1, l=1), 0.7).data
+    h = kronecker_hamiltonian(InteractionSpec(ModeLayout(dims), k=1, l=1), 0.7)
     for support in chain_supports(rng, h):
         assert_chains_of(h, support)
 
@@ -313,6 +313,15 @@ def test_operator_with_two_offsets_is_refused_before_any_decomposition(monkeypat
     diagonal = TruncatedOperator(lay, sparse.identity(n, format="csr", dtype=complex), hermitian=True)
     with pytest.raises(ValueError, match=r"its entries use the offsets 0$"):
         evolve(vacuum_state(lay), diagonal, cfg)
+    # one offset but not Hermitian: i a+ b+ alone, whose upper band is empty,
+    # and the anti-Hermitian i (a+ b+ + a b), whose bands differ by up to
+    # 2 max |h| = 14
+    pair = ModeLayout((8, 8))
+    up = reference_ladder_product(pair, (1, 1))
+    for op, match in ((1j * up, "are not stored at the same r"),
+                      (1j * (up + up.T), r"conj\(h\[r, r \+ s\]\)\| reaches 1\.400e\+01$")):
+        with pytest.raises(ValueError, match="evolve needs a Hermitian operator; .*" + match):
+            evolve(vacuum_state(pair), TruncatedOperator(pair, op.tocsr(), hermitian=True), cfg)
 
 
 @pytest.mark.parametrize("k,l,dims", [(1, 2, (7, 6, 11)), (1, 3, (6, 4, 12)), (2, 1, (6, 9, 5))])
@@ -351,10 +360,6 @@ def test_builder_validation():
         InteractionSpec(lay3, k=1, l=2, kappa=-1.0)
     with pytest.raises(ValueError, match="kappa must be positive and finite"):
         InteractionSpec(lay3, k=1, l=2, kappa=float("inf"))
-    with pytest.raises(ValueError):
-        build_classical_pump_hamiltonian(InteractionSpec(ModeLayout((4, 4)), k=1, l=2), 2.0)
-    with pytest.raises(ValueError):
-        build_classical_pump_hamiltonian(InteractionSpec(lay3, k=1, l=1), 2.0)
 
 
 @pytest.mark.parametrize("bad,match", [
@@ -376,9 +381,9 @@ def test_conserved_charges_commute_exactly():
     for k, l in ((1, 2), (2, 1), (1, 3), (2, 2)):
         lay = ModeLayout((5, 7, 8))
         h = build_hamiltonian(InteractionSpec(lay, k=k, l=l)).data
-        n_p = embed(number_operator(5), 0, lay).data
-        n_a = embed(number_operator(7), 1, lay).data
-        n_b = embed(number_operator(8), 2, lay).data
+        n_p = embed(number_operator(5), 0, lay)
+        n_a = embed(number_operator(7), 1, lay)
+        n_b = embed(number_operator(8), 2, lay)
         charge1 = l * n_a - k * n_b
         charge2 = k * n_p + n_a
         for q in (charge1, charge2):
@@ -391,7 +396,7 @@ def test_classical_pump_reproduces_two_mode_squeezing():
     lay = ModeLayout((dim, dim))
     spec = InteractionSpec(lay, k=1, l=1, kappa=1.0)
     alpha_p = 2.0
-    h = build_classical_pump_hamiltonian(spec, alpha_p)
+    h = classical_pump(lay, alpha_p)
     r = 0.5
     cfg = EvolutionConfig(xi_grid=(0.0, r), kappa=1.0, alpha_p=alpha_p)
     final = evolve(vacuum_state(lay), h, cfg)[-1]
@@ -415,7 +420,7 @@ def test_evolve_against_dense_expm():
     psi0 = product_state(lay, pump, ground_a, ground_b)
     cfg = EvolutionConfig(xi_grid=(0.0, 0.2, 0.4), kappa=1.0, alpha_p=1.5)
     states = evolve(psi0, h, cfg)
-    dense = h.data.toarray()
+    dense = kronecker_hamiltonian(InteractionSpec(lay, k=1, l=2)).toarray()
     for state, t in zip(states, cfg.times()):
         direct = expm(-1j * t * dense) @ psi0.vector
         assert np.abs(state.vector - direct).max() < 1e-9
@@ -431,7 +436,8 @@ def test_evolve_against_expm_multiply():
     cfg = EvolutionConfig(xi_grid=(0.0, xi), kappa=1.0, alpha_p=1.2)
     final = evolve(psi0, h, cfg)[-1]
     t = xi / 1.2
-    direct = expm_multiply(-1j * t * h.data.tocsc(), psi0.vector)
+    direct = expm_multiply(-1j * t * kronecker_hamiltonian(InteractionSpec(lay, k=1, l=2)).tocsc(),
+                           psi0.vector)
     assert np.abs(final.vector - direct).max() < 1e-8
 
 
@@ -443,7 +449,7 @@ def test_large_norm_long_interval_against_dense_expm():
     v = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
     psi0 = QuantumState(lay, vector=v / np.linalg.norm(v))
     cfg = EvolutionConfig(xi_grid=(0.0, 1.0, 6.0), kappa=1.0, alpha_p=1.2)
-    dense = h.data.toarray()
+    dense = kronecker_hamiltonian(InteractionSpec(lay, k=1, l=3)).toarray()
     assert np.linalg.norm(dense, 2) * cfg.times()[-1] > 500
     for state, t in zip(evolve(psi0, h, cfg), cfg.times()):
         direct = expm(-1j * t * dense) @ psi0.vector
@@ -498,9 +504,10 @@ def test_energy_and_norm_conservation():
     )
     grid = tuple(np.round(np.arange(0.0, 0.61, 0.1), 10))
     cfg = EvolutionConfig(xi_grid=grid, kappa=1.0, alpha_p=1.3)
+    reference = kronecker_hamiltonian(InteractionSpec(lay, k=1, l=2))
     for state in evolve(psi0, h, cfg):
         assert state.norm() == pytest.approx(1.0, abs=1e-9)
-        assert abs(expectation(h, state)) < 1e-8
+        assert abs(expectation(reference, state)) < 1e-8
 
 
 def test_time_reversal_recovers_initial_state():

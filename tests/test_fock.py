@@ -10,18 +10,15 @@ from hocov import (
     ModeLayout,
     QuantumState,
     TruncationError,
-    annihilation,
     coherent_state,
-    creation,
-    embed,
     fock_state,
-    number_operator,
     product_state,
     thermal_state,
     top_level_population,
     vacuum_state,
 )
 from hocov.fock import occupations, shift
+from reference import annihilation, creation, embed, number_operator, reference_ladder_product
 
 
 def test_annihilation_matrix_elements():
@@ -45,15 +42,6 @@ def test_occupations_read_the_row_major_digits():
     flat = np.arange(lay.total_dim)
     for mode, digits in enumerate(np.unravel_index(flat, lay.dims)):
         assert np.array_equal(occupations(lay, flat, mode), digits)
-
-
-def reference_ladder_product(lay, shifts):
-    """Dense product of the embedded truncated powers a+^m (m > 0) and a^|m| (m < 0)."""
-    full = np.eye(lay.total_dim)
-    for mode, m in enumerate(shifts):
-        power = np.linalg.matrix_power(annihilation(lay.dims[mode]), abs(m))
-        full = embed(power.T if m > 0 else power, mode, lay).data @ full
-    return full
 
 
 @pytest.mark.parametrize("dims,shifts", [
@@ -80,7 +68,7 @@ def test_shift_matches_the_embedded_ladder_powers(dims, shifts):
     rows, target, weight = shift(lay, idx, shifts)
     assert np.all(np.diff(target) > 0)  # sorted input, sorted targets
     assert np.all(weight > 0)
-    out = reference_ladder_product(lay, shifts)[:, idx]  # the product on |idx[i]>
+    out = reference_ladder_product(lay, shifts).toarray()[:, idx]  # the product on |idx[i]>
     expected = np.zeros((n, idx.size))
     expected[target, rows] = weight
     assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(out).max())
@@ -120,22 +108,17 @@ def test_embed_index_convention():
     assert state.vector[flat] == 1.0
     for mode, occ in ((0, 2), (1, 1), (2, 3)):
         n_op = embed(number_operator(lay.dims[mode]), mode, lay)
-        val = np.vdot(state.vector, n_op.data @ state.vector)
+        val = np.vdot(state.vector, n_op @ state.vector)
         assert val == pytest.approx(occ)
 
 
-def test_embed_detects_hermitian():
-    lay = ModeLayout((3, 4))
-    assert embed(number_operator(3), 0, lay).hermitian
-    assert not embed(annihilation(3), 0, lay).hermitian
-
-
 def test_operator_dagger_and_matmul():
+    # a+ a = N for the embedded ladder operator of every mode
     lay = ModeLayout((4, 3))
-    a_full = embed(annihilation(4), 0, lay)
-    n_full = a_full.dagger() @ a_full
-    direct = embed(number_operator(4), 0, lay)
-    assert abs(n_full.data - direct.data).max() < 1e-14
+    for mode, dim in enumerate(lay.dims):
+        a_full = embed(annihilation(dim), mode, lay)
+        direct = embed(number_operator(dim), mode, lay)
+        assert abs(a_full.conj().T @ a_full - direct).max() < 1e-14
 
 
 def test_coherent_state_poisson_populations():
@@ -172,6 +155,10 @@ def test_coherent_state_truncation_guard():
         coherent_state(4.0, 20)
     vec = coherent_state(4.0, 20, allow_truncation=True)
     assert np.linalg.norm(vec) == pytest.approx(1.0)
+    # NaN passes a |alpha|^2 > dim/4 guard, so non-finite alpha is refused first
+    for bad in (float("nan"), complex(1.0, float("inf")), np.nan * 1j):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_state(bad, 6, allow_truncation=True)
 
 
 def test_thermal_state_geometric_weights():
@@ -187,6 +174,9 @@ def test_thermal_state_zero_temperature():
     rho = thermal_state(0.0, 4)
     assert rho[0, 0] == pytest.approx(1.0)
     assert np.abs(rho).sum() == pytest.approx(1.0)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n_th must be finite and >= 0"):
+            thermal_state(bad, 4)
 
 
 def test_vacuum_and_product_states():
@@ -214,6 +204,14 @@ def test_product_state_with_mixed_factor():
     assert state.matrix.shape == (12, 12)
     assert np.trace(state.matrix).real == pytest.approx(1.0)
     assert np.abs(state.mode_populations(0) - np.diag(rho_a).real).max() < 1e-14
+    # a factor the renormalization would divide by zero or carry NaN through
+    for bad, match in ((np.zeros(4), "factor 1 must be finite with a positive norm"),
+                       (np.full(4, np.nan), "factor 1 must be finite with a positive norm"),
+                       (np.zeros((4, 4)), "factor 1 must be finite with a positive trace")):
+        with pytest.raises(ValueError, match=match):
+            product_state(lay, rho_a, bad)
+        with pytest.raises(ValueError, match=match):
+            product_state(lay, np.eye(3)[:, 0], bad)
 
 
 def test_mode_populations_sum_to_one():
@@ -255,6 +253,13 @@ def test_state_refuses_a_non_hermitian_density_matrix():
         QuantumState(lay, matrix=rho)
     rho[1, 0] = 0.25
     assert QuantumState(lay, matrix=rho).matrix[1, 0] == 0.25
+    # a density matrix must also have unit trace, as evolve holds a pure state's norm
+    for scale, trace in ((2.0, r"2\.000000000000"), (1.0 + 2e-8, r"1\.000000020000")):
+        with pytest.raises(ValueError, match=rf"unit trace; its trace is {trace}$"):
+            QuantumState(lay, matrix=scale * rho)
+    QuantumState(lay, matrix=(1.0 + 5e-9) * rho)
+    with pytest.raises(ValueError, match="Hermitian"):
+        QuantumState(lay, matrix=np.full((4, 4), np.nan))
 
 
 def test_state_arrays_are_frozen():

@@ -8,18 +8,18 @@ import pytest
 from hocov import (
     MAX_ORDER,
     ModeLayout,
+    QuantumState,
     UnsupportedOrderError,
-    expectation,
     f_operator,
     f_values,
     fock_state,
     nonlinear_quadratures,
     product_state,
-    symmetrized_covariance,
     thermal_state,
     vacuum_state,
 )
 from hocov.sweep import CONVERGENCE_STEP, config_from_file
+from reference import expectation, quadratures, symmetrized_covariance
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -120,7 +120,8 @@ def test_commutator_matches_f_on_safe_block():
     lay = ModeLayout((dim, 2))
     for m in (1, 2, 3, 4):
         pair = nonlinear_quadratures(lay, 0, m)
-        comm = (pair.q @ pair.p).data - (pair.p @ pair.q).data
+        q, p = pair.q.data, pair.p.data
+        comm = q @ p - p @ q
         f_diag = f_operator(lay, 0, m).data
         resid = (comm - 1j * f_diag).toarray()
         # only levels with m of headroom below the cutoff are exact
@@ -133,11 +134,11 @@ def test_quadrature_action_on_vacuum():
     vac = vacuum_state(lay)
     for m in (1, 2, 3, 5):
         pair = nonlinear_quadratures(lay, 0, m)
-        vec = pair.q @ vac.vector
+        vec = pair.q.data @ vac.vector
         target = fock_state((m, 0), lay).vector * (np.sqrt(math.factorial(m)) / 2)
         assert np.abs(vec - target).max() < 1e-12
         # vacuum variance of Q^m is f_m(0)/2 = m!/4
-        var = symmetrized_covariance(pair.q, pair.q, vac)
+        var = symmetrized_covariance(pair.q.data, pair.q.data, vac)
         assert var == pytest.approx(math.factorial(m) / 4, rel=1e-12)
 
 
@@ -158,30 +159,25 @@ def test_expectation_pure_and_mixed_agree():
     lay = ModeLayout((5, 6))
     vec = rng.normal(size=30) + 1j * rng.normal(size=30)
     vec /= np.linalg.norm(vec)
-    from hocov import QuantumState
-
     pure = QuantumState(lay, vector=vec)
     mixed = QuantumState(lay, matrix=np.outer(vec, vec.conj()))
     for m in (1, 2):
-        pair = nonlinear_quadratures(lay, 1, m)
-        for op in (pair.q, pair.p):
+        for op in quadratures(lay, 1, m):
             assert expectation(op, pure) == pytest.approx(expectation(op, mixed), abs=1e-12)
 
 
 def test_symmetrized_covariance_against_dense_formula():
     rng = np.random.default_rng(23)
     lay = ModeLayout((6, 7))
-    pair_a = nonlinear_quadratures(lay, 0, 2)
-    pair_b = nonlinear_quadratures(lay, 1, 1)
+    q_a, p_a = quadratures(lay, 0, 2)
+    q_b, p_b = quadratures(lay, 1, 1)
     for _ in range(20):
         vec = rng.normal(size=42) + 1j * rng.normal(size=42)
         vec /= np.linalg.norm(vec)
-        from hocov import QuantumState
-
         state = QuantumState(lay, vector=vec)
-        for op1, op2 in ((pair_a.q, pair_b.q), (pair_a.p, pair_b.p), (pair_a.q, pair_a.p)):
-            m1 = op1.data.toarray()
-            m2 = op2.data.toarray()
+        for op1, op2 in ((q_a, q_b), (p_a, p_b), (q_a, p_a)):
+            m1 = op1.toarray()
+            m2 = op2.toarray()
             anti = 0.5 * (m1 @ m2 + m2 @ m1)
             direct = np.vdot(vec, anti @ vec).real
             direct -= np.vdot(vec, m1 @ vec).real * np.vdot(vec, m2 @ vec).real
@@ -196,9 +192,9 @@ def test_symmetrized_covariance_on_mixed_state():
     state = product_state(lay, rho_a, ground)
     pair = nonlinear_quadratures(lay, 0, 1)
     # single-mode thermal state: Var(Q) = (2 n_th + 1)/4 in our scaling
-    var = symmetrized_covariance(pair.q, pair.q, state)
+    var = symmetrized_covariance(pair.q.data, pair.q.data, state)
     assert var == pytest.approx((2 * 0.4 + 1) / 4, abs=1e-12)
-    assert symmetrized_covariance(pair.q, pair.p, state) == pytest.approx(0.0, abs=1e-12)
+    assert symmetrized_covariance(pair.q.data, pair.p.data, state) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nonlinear_quadratures_order_guards():
