@@ -193,10 +193,11 @@ def _saturating_scalings(a, b, c1, c2, fk, fl):
     mid = d1 * d2 + fk * fl * (b * b - a * a) / 4.0 - (fk * fl) ** 2 / 16.0
     const = fk / 2.0 * (fk * fl * a / 4.0 - b * d2)
     disc = mid * mid - 4.0 * lead * const
-    if disc < 0:
+    if disc < -1e-10 * mid * mid:
         return []
-    # cancellation-free pair of roots: q/lead and const/q
-    q = -(mid + np.copysign(np.sqrt(disc), mid)) / 2.0
+    # a boundary state's double root can round disc below 0; the caller's
+    # residual check guards it. Cancellation-free roots: q/lead and const/q
+    q = -(mid + np.copysign(np.sqrt(max(disc, 0.0)), mid)) / 2.0
     roots = [const / q] if q != 0 else []
     if lead != 0:
         roots.append(q / lead)

@@ -10,9 +10,9 @@ xi = kappa * t * alpha_p, so grid times are t_j = xi_j / (kappa * alpha_p).
 a+^k b+^l p moves the flat Fock index r = (n_p d_A + n_a) d_B + n_b by
 -(d_A d_B - k d_B - l), so H is two masked diagonals at that offset and its
 negative: ``fock.two_band`` with c = i kappa, the same builder as every
-other operator here, writes those CSR arrays row by row from the ladder
-powers of ``fock.shift``, whose module docstring states the truncation
-convention.
+other operator here, writes their entries (rows, cols, values) from the
+ladder powers of ``fock.shift``, whose module docstring states the
+truncation convention.
 
 H conserves k N_P + N_A and l N_A - k N_B, so from |n0>_P |0,0> a state
 only ever visits the chain |n0 - j, k j, l j>. H is the direct sum of its
@@ -20,8 +20,8 @@ charge blocks H_q on l N_A - k N_B = q, and ``build_hamiltonian(spec,
 charge=q)`` writes the rows of H_q only; the sweep starts in sector 0 and
 builds H_0 (6,490 of H's 713,900 nonzeros on window.cfg). H_q leaves a state
 outside sector q frozen, without an error. ``build_hamiltonian`` returns H
-as a CSR triple of numpy arrays, and evolution reads that triple, so this
-module needs numpy only.
+as those entries, numpy arrays of H's nnz length, and evolution reads them
+directly, so this module needs numpy only and forms no full-space array.
 
 Evolution is for pure states (a coherent pump and vacuum signal and idler
 stay pure) and reads H as the set of chains it is: every stored entry sits
@@ -164,9 +164,10 @@ class EvolutionConfig:
         return np.asarray(self.xi_grid) / (self.kappa * self.alpha_p)
 
 
-def _chains(csr: tuple, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and links of the chains of the CSR triple (values, indices,
-    indptr) of h that meet ``support``, padded to one even length L.
+def _chains(entries: tuple, n: int, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and links of the chains of the (n, n) operator h, given as its
+    entries (rows, cols, values) in row order, that meet ``support``, padded
+    to one even length L.
 
     Every stored entry must sit at (r, r + s) or (r, r - s) for one offset
     s > 0, so h's sparsity graph is a set of paths r, r + s, r + 2s, ...,
@@ -178,11 +179,8 @@ def _chains(csr: tuple, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and 0 past the end. A support index that no entry touches is a chain of
     one node.
     """
-    values, indices, indptr = csr
-    n = len(indptr) - 1
-    # the row of each stored entry, read from indptr over the entries only
-    rows = np.searchsorted(indptr, np.arange(indices.size, dtype=indptr.dtype), side="right") - 1
-    offset = indices - rows
+    rows, cols, values = entries
+    offset = cols - rows
     step = np.abs(offset)
     if step.size and (step.min() != step.max() or step[0] == 0):
         step = np.sort(step)
@@ -285,7 +283,7 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
     norm = float(np.linalg.norm(state.amplitudes))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"evolve needs a normalized state; its norm is {norm:.12f}")
-    nodes, links = _chains(hamiltonian.csr, state.support)
+    nodes, links = _chains(hamiltonian.entries, hamiltonian.layout.total_dim, state.support)
     # the phase gauge psi_j -> conj(d_j) psi_j, d_j+1 = d_j conj(h_j) / |h_j|,
     # turns each chain into a real symmetric tridiagonal with zero diagonal
     weight = np.abs(links)

@@ -25,12 +25,13 @@ reads a mode's level off a flat index; the covariance's ladder powers are
 built from them.
 
 Every operator the package makes, except the diagonal f_m(N), is
-c U + conj(c) U+ for one such product U, and ``two_band`` writes it as a
-CSR triple: the Hamiltonian with c = i kappa, the quadratures Q^m and P^m
+c U + conj(c) U+ for one such product U: two bands at one flat-index
+offset. ``two_band`` writes it as an entry list (rows, cols, values) in
+row order: the Hamiltonian with c = i kappa, the quadratures Q^m and P^m
 with c = 1/2 and c = i/2. An operator on the full space is a
-``TruncatedOperator`` that holds that triple. Its ``data`` is a scipy view
-built on first access, and nothing in the package reads it, so the package
-runs on numpy alone.
+``TruncatedOperator`` that holds those entries and nothing of the full
+space's length. Its ``data`` is a scipy view built on first access, and
+nothing in the package reads it, so the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -98,37 +99,43 @@ class ModeLayout:
 class TruncatedOperator:
     """A sparse operator on the full truncated space.
 
-    ``csr`` holds the (n, n) matrix as a CSR triple (values, indices, indptr)
-    of numpy arrays: row r stores values[indptr[r]:indptr[r + 1]] at columns
-    indices[indptr[r]:indptr[r + 1]]. ``matrix`` is that triple or a scipy
-    sparse matrix, whose CSR arrays become the triple. ``data`` is the scipy
-    CSR view: the given matrix (in CSR form) when one was given, else built
-    from the triple on first access and kept. ``hermitian`` is the maker's
-    label; ``evolve`` checks the entries it reads itself.
+    ``entries`` holds the (n, n) matrix as (rows, cols, values), numpy
+    arrays of one length in row order: values[i] sits at (rows[i], cols[i])
+    and rows never decrease. ``matrix`` is that tuple or a scipy sparse
+    matrix, whose entries are read in CSR order; anything else is refused.
+    ``data`` is the scipy CSR view: the given matrix (in CSR form) when one
+    was given, else built from the entries on first access and kept.
+    ``hermitian`` is the maker's label; ``evolve`` checks the entries it
+    reads itself.
     """
 
     layout: ModeLayout
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     hermitian: bool
 
     def __init__(self, layout: ModeLayout, matrix, hermitian: bool = False):
         n = layout.total_dim
-        if isinstance(matrix, tuple):
-            values, indices, indptr = (np.asarray(a) for a in matrix)
-        else:
+        if isinstance(matrix, tuple) and len(matrix) == 3:
+            rows, cols, values = (np.asarray(a) for a in matrix)
+        elif hasattr(matrix, "tocsr"):  # a scipy sparse matrix
             if matrix.shape != (n, n):
                 raise ValueError(f"operator shape {matrix.shape} != layout dim {n}")
             matrix = matrix.tocsr()  # a CSR matrix is kept as it is, not copied
             self.__dict__["data"] = matrix
-            values, indices, indptr = matrix.data, matrix.indices, matrix.indptr
-        if indptr.shape != (n + 1,):
-            raise ValueError(f"indptr has {indptr.size} entries; the layout's n = {n} needs n + 1")
-        if not values.shape == indices.shape == (indptr[-1],):
-            raise ValueError(f"values and indices hold {values.size} and {indices.size} entries; "
-                             f"indptr stores {indptr[-1]}")
-        if indices.size and not 0 <= indices.min() <= indices.max() < n:
-            raise ValueError(f"column indices must lie in [0, n) with the layout's n = {n}")
-        for name, value in (("layout", layout), ("csr", (values, indices, indptr)),
+            coo = matrix.tocoo()
+            rows, cols, values = coo.row, coo.col, coo.data
+        else:
+            raise ValueError("an operator is a (rows, cols, values) tuple or a scipy sparse "
+                             f"matrix, got {type(matrix).__name__}")
+        if not rows.shape == cols.shape == values.shape == (rows.size,):
+            raise ValueError(f"rows, cols and values hold {rows.size}, {cols.size} and "
+                             f"{values.size} entries; they need one length")
+        for name, idx in (("row", rows), ("column", cols)):
+            if idx.size and not 0 <= idx.min() <= idx.max() < n:
+                raise ValueError(f"{name} indices must lie in [0, n) with the layout's n = {n}")
+        if np.any(rows[1:] < rows[:-1]):
+            raise ValueError("entries must be in row order; their rows decrease")
+        for name, value in (("layout", layout), ("entries", (rows, cols, values)),
                             ("hermitian", hermitian)):
             object.__setattr__(self, name, value)
 
@@ -138,7 +145,8 @@ class TruncatedOperator:
         from scipy import sparse
 
         n = self.layout.total_dim
-        return sparse.csr_matrix(self.csr, shape=(n, n))
+        rows, cols, values = self.entries
+        return sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True, init=False)
@@ -280,36 +288,26 @@ def shift(layout: ModeLayout, idx, shifts) -> tuple[np.ndarray, np.ndarray, np.n
 
 def two_band(layout: ModeLayout, shifts, coupling: complex,
              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triple (values, indices, indptr) of c U + conj(c) U+ on the sorted
-    ``rows`` (all rows when None), with c = ``coupling``.
+    """Entries (rows, cols, values) of c U + conj(c) U+ on the sorted ``rows``
+    (all rows when None), with c = ``coupling``, in row order and with
+    columns rising within a row.
 
     U is the product of truncated ladder powers ``shifts`` (``shift``), a
     flat index shift r -> r + t, and ``rows`` must be closed under U and U+
     (a charge sector is). Where U takes |s> to |r> with weight w, the
     operator holds c w at (r, s) and conj(c) w at (s, r); only the given rows
-    are written, and the other rows of the (n, n) matrix are empty.
+    are written, and the other rows of the (n, n) matrix hold no entry.
     """
-    n = layout.total_dim
-    rows = np.arange(n) if rows is None else np.asarray(rows)
+    rows = np.arange(layout.total_dim) if rows is None else np.asarray(rows)
     at, target, weight = shift(layout, rows, shifts)
     source = rows[at]
-    # (row, column, value) of c U and of conj(c) U+
-    bands = [(target, source, coupling * weight), (source, target, np.conj(coupling) * weight)]
-    if source.size and target[0] < source[0]:
-        bands.reverse()  # t < 0: column i + t comes first in each row
-    # int32 when it fits, the index dtype of the ``data`` view, so the view does not copy them
-    itype = np.int32 if 2 * n < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=itype)
-    for row, _, _ in bands:
-        indptr[row + 1] += 1
-    np.cumsum(indptr, out=indptr)
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=itype)
-    for (row, column, value), first in zip(bands, (True, False)):
-        pos = indptr[row] if first else indptr[row + 1] - 1
-        data[pos] = value
-        indices[pos] = column
-    return data, indices, indptr
+    coupling = complex(coupling)
+    # the band of c U, then the band of conj(c) U+
+    row = np.concatenate((target, source))
+    col = np.concatenate((source, target))
+    value = np.concatenate((coupling * weight, coupling.conjugate() * weight))
+    order = np.lexsort((col, row))
+    return row[order], col[order], value[order]
 
 
 def coherent_state(alpha: complex, dim: int, allow_truncation: bool = False) -> np.ndarray:

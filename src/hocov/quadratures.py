@@ -18,9 +18,10 @@ configs/competition.cfg at n = 5 (order 15 on B) has covariance entries of
 (order 12) the values were smooth.
 
 Q^m and P^m are the one band pair ``fock.two_band`` writes for the shift
-a+^m on one mode, with c = 1/2 and c = i/2, and ``f_operator`` is a diagonal
-CSR triple; both need numpy only. Nothing on the sweep path forms them:
-the covariance reads the same ladder powers through ``fock.shift``.
+a+^m on one mode, with c = 1/2 and c = i/2, and ``f_operator`` is the
+diagonal entry list (rows, rows, f_m); both need numpy only. Nothing on
+the sweep path forms them: the covariance reads the same ladder powers
+through ``fock.shift``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ def nonlinear_quadratures(layout: ModeLayout, mode: int, m: int) -> QuadraturePa
 
 def f_operator(layout: ModeLayout, mode: int, m: int) -> TruncatedOperator:
     """Diagonal operator f_m(N_mode) on the full space."""
-    rows = np.arange(layout.total_dim + 1, dtype=np.int32)
-    diag = f_values(m, occupations(layout, rows[:-1], mode))
-    # f_m(N) >= m!/2 > 0, so every diagonal entry is stored
-    return TruncatedOperator(layout, (diag, rows[:-1], rows), hermitian=True)
+    rows = np.arange(layout.total_dim)
+    return TruncatedOperator(layout, (rows, rows, f_values(m, occupations(layout, rows, mode))),
+                             hermitian=True)

@@ -38,6 +38,7 @@ from hocov import (
     vacuum_state,
     witness_nu_minus,
 )
+from hocov.criteria import LEMMA2_TOL
 from reference import embed, expectation, number_operator, quadratures, symmetrized_covariance, tmsv_state
 
 
@@ -342,6 +343,23 @@ def test_lemma2_without_admissible_root_raises():
         lemma2_transform(sf)
 
 
+@pytest.mark.parametrize("dim", [12, 20])
+def test_lemma2_certifies_a_mixture_on_the_separability_boundary(dim):
+    # gamma = 0.6 beta with no noise term: the classical part of V has rank
+    # 2, V - F/2 is singular, and the scaling quadratic has a double root,
+    # whose discriminant rounds to -2.7e-16 at dim 12
+    rng = np.random.default_rng(71)
+    beta = 0.5 * (rng.normal(size=20) + 1j * rng.normal(size=20))
+    vecs = np.array([np.kron(coherent_state(b, dim, allow_truncation=True),
+                             coherent_state(0.6 * b, dim, allow_truncation=True)) for b in beta])
+    rho = vecs.T @ vecs.conj() / len(vecs)
+    sf = standard_form(build_covariance(QuantumState(ModeLayout((dim, dim)), matrix=rho), 1, 1, 1))
+    assert (sf.a, sf.b) == pytest.approx((0.3677, 0.2932), abs=1e-4)
+    res = lemma2_transform(sf)
+    assert res.residual <= LEMMA2_TOL
+    assert lemma1_check(res.as_covariance()) >= -1e-8
+
+
 NO_SCIPY = """
 import importlib.abc, sys
 
@@ -382,7 +400,7 @@ def test_import_and_sweep_load_numpy_only(tmp_path):
         "print(hocov.lemma1_check(hocov.lemma2_transform(sf).as_covariance()) >= -1e-8)\n"
         "pair = hocov.nonlinear_quadratures(hocov.ModeLayout((12, 6, 11)), 2, 3)\n"
         "f = hocov.f_operator(pair.q.layout, 2, 3)\n"
-        "print([type(a).__name__ for op in (pair.q, pair.p, f) for a in op.csr])\n"
+        "print([type(a).__name__ for op in (pair.q, pair.p, f) for a in op.entries])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "tiny.csv"),

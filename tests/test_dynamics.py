@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hocov import (
 import hocov.dynamics
 from hocov.dynamics import _chains
 from hocov.fock import two_band
+from hocov.sweep import config_from_file
 from reference import (
     classical_pump,
     embed,
@@ -109,19 +111,51 @@ def test_operator_rebuilt_around_a_csr_subclass_evolves_the_same(charge, digest)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
-def test_operator_refuses_a_csr_triple_that_does_not_fit_its_layout():
+def test_operator_refuses_entries_that_do_not_fit_its_layout():
     lay = ModeLayout((3, 4))
-    values, indices, indptr = np.ones(3), np.array([0, 5, 11]), np.array([0, 1, 2, 3] + [3] * 9)
-    TruncatedOperator(lay, (values, indices, indptr))
-    with pytest.raises(ValueError, match=r"indptr has 12 entries; the layout's n = 12 needs n \+ 1"):
-        TruncatedOperator(lay, (values, indices, indptr[:-1]))
-    with pytest.raises(ValueError, match=r"values and indices hold 2 and 3 entries; indptr stores 3"):
-        TruncatedOperator(lay, (values[:2], indices, indptr))
+    rows, cols, values = np.array([0, 1, 1]), np.array([0, 5, 11]), np.ones(3)
+    op = TruncatedOperator(lay, (rows, cols, values))
+    assert np.array_equal(op.data.toarray()[[0, 1, 1], [0, 5, 11]], values)
+    with pytest.raises(ValueError, match=r"rows, cols and values hold 3, 3 and 2 entries; they need one length"):
+        TruncatedOperator(lay, (rows, cols, values[:2]))
+    with pytest.raises(ValueError, match=r"rows, cols and values hold 2, 3 and 3 entries"):
+        TruncatedOperator(lay, (rows[:2], cols, values))
     for bad in (12, -1):
         with pytest.raises(ValueError, match=r"column indices must lie in \[0, n\) with the layout's n = 12"):
-            TruncatedOperator(lay, (values, np.array([0, 5, bad]), indptr))
+            TruncatedOperator(lay, (rows, np.array([0, 5, bad]), values))
+    for bad in ([0, 1, 12], [-1, 0, 1]):
+        with pytest.raises(ValueError, match=r"row indices must lie in \[0, n\) with the layout's n = 12"):
+            TruncatedOperator(lay, (np.array(bad), cols, values))
+    with pytest.raises(ValueError, match=r"entries must be in row order; their rows decrease"):
+        TruncatedOperator(lay, (np.array([0, 2, 1]), cols, values))
     with pytest.raises(ValueError, match=r"operator shape \(12, 13\) != layout dim 12"):
         TruncatedOperator(lay, sparse.csr_matrix((12, 13)))
+
+
+def test_operator_refuses_an_input_that_is_neither_entries_nor_sparse():
+    lay = ModeLayout((2, 3))
+    for bad, name in ((np.eye(6), "ndarray"), (np.eye(6).tolist(), "list"),
+                      ((np.arange(6), np.arange(6)), "tuple")):
+        with pytest.raises(ValueError, match=r"a \(rows, cols, values\) tuple or a scipy sparse "
+                                             f"matrix, got {name}$"):
+            TruncatedOperator(lay, bad)
+
+
+@pytest.mark.parametrize("name", ["window", "hierarchy", "competition"])
+def test_sweep_hamiltonian_holds_only_arrays_of_its_nnz_length(name):
+    # H_0 is an entry list: on window.cfg 6,490 entries, where a CSR row
+    # pointer would hold the layout's n + 1 = 376,321
+    cfg = config_from_file(str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"))
+    h = build_hamiltonian(InteractionSpec(ModeLayout(cfg.dims), k=cfg.k, l=cfg.l), charge=0)
+    assert "data" not in vars(h)  # the scipy view is not built
+    nnz = h.entries[0].size
+    assert 0 < nnz < h.layout.total_dim // 10
+    assert [a.shape for a in h.entries] == [(nnz,)] * 3
+    # row order, and columns rising within a row: the order of the CSR view
+    rows, cols, _ = h.entries
+    assert np.all(np.diff(rows * h.layout.total_dim + cols) > 0)
+    if name == "window":
+        assert nnz == 6490
 
 
 def fock_charges(lay, k, l):
@@ -202,7 +236,8 @@ def component_chains(h, support):
 def assert_chains_of(h, support):
     """_chains finds the components meeting ``support``, each as a path in
     order with its links read from h."""
-    nodes, links = _chains((h.data, h.indices, h.indptr), support)
+    coo = h.tocoo()
+    nodes, links = _chains((coo.row, coo.col, coo.data), h.shape[0], support)
     assert nodes.shape[1] % 2 == 0 and links.shape == (nodes.shape[0], nodes.shape[1] - 1)
     found = set()
     for row, link in zip(nodes, links):
@@ -264,7 +299,7 @@ def test_support_walk_on_the_interaction():
     pump = coherent_state(1.1, 7)
     psi0 = product_state(lay, pump, np.eye(6, dtype=complex)[:, 0], np.eye(11, dtype=complex)[:, 0])
     assert_chains_of(h.data, psi0.support)
-    nodes, _ = _chains(h.csr, psi0.support)
+    nodes, _ = _chains(h.entries, lay.total_dim, psi0.support)
     # one chain |n0 - j, j, 2j> per pump number, cut by the A and B cutoffs,
     # padded to the even length at or above the longest
     assert sorted(np.count_nonzero(row >= 0) for row in nodes) == sorted(min(n0, 5) + 1 for n0 in range(7))
