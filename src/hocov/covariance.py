@@ -23,9 +23,14 @@ No selection rule is assumed: a pair whose targets never meet simply
 contributes nothing. ``covariance_stack`` computes one hierarchy level for
 a stack of T pure states that share one support, as the states of a
 trajectory do, matching once for the whole stack; ``build_covariance`` is
-that function on a stack of one for a pure state, and reads the same
-matches on a density matrix. Both finish through the same Gram-to-covariance
-step. The cost is linear in the support of a pure state.
+that function on a stack of one for a pure state. On a density matrix it
+reads every matched pair with one cached gather of rho's flat entries and
+one segmented sum. Both finish through the same Gram-to-covariance step,
+which takes one Gram matrix or a stack. The cost is linear in the support
+of a pure state.
+
+``standard_form`` is scalar 2x2 algebra in closed form: a symmetric det-1
+scaling per party, then two rotations that diagonalize the cross block.
 
 One type, ``HigherOrderCovariance``, holds either one covariance, V as
 (4, 4), or a stack, V as (T, 4, 4) with one f_kA, f_lB and first-moment row
@@ -39,6 +44,7 @@ ValueError naming the shape.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -235,24 +241,32 @@ def _gram_terms(layout: ModeLayout, idx: np.ndarray, n: int, k: int, l: int):
 @lru_cache(maxsize=8)
 def _density_terms(layout: ModeLayout, n: int, k: int, l: int):
     """``_gram_terms`` on every index of ``layout``, the support of any
-    density matrix. Cached and read-only: a set of density matrices on one
-    layout and level, as a certification run has, shares one match."""
-    diag, pairs = _gram_terms(layout, np.arange(layout.total_dim), n, k, l)
-    for arr in (diag, *(arr for pair in pairs for arr in pair[2:])):
+    density matrix, as ``(diag, a, b, flat, w, starts)``: G_ab of pair p
+    sums w * rho.flat[flat] over the segment from starts[p], with
+    flat = rows_b * D + rows_a. Cached and read-only: a set of density
+    matrices on one layout and level, as a certification run has, shares
+    one match."""
+    dim = layout.total_dim
+    diag, pairs = _gram_terms(layout, np.arange(dim), n, k, l)
+    # never empty: check_order keeps every order below its cutoff, so 1 and A meet
+    a, b, rows_a, rows_b, w = zip(*pairs)
+    flat = np.concatenate(rows_b) * dim + np.concatenate(rows_a)
+    starts = np.cumsum([0, *map(len, w[:-1])])
+    terms = (diag, np.array(a), np.array(b), flat, np.concatenate(w), starts)
+    for arr in terms:
         arr.flags.writeable = False
-    return diag, pairs
+    return terms
 
 
 def _from_gram(gram: np.ndarray, f_ka, f_lb, n: int, k: int, l: int) -> HigherOrderCovariance:
-    """Covariances from a (T, 5, 5) stack of Gram matrices over L, whose row 0
-    holds <L_b> = G_0b."""
-    first = (_LADDER_TO_R @ gram[:, 0, :, None])[..., 0]
-    bad = np.abs(first.imag).max(axis=1) > 1e-8
+    """The covariance from a (5, 5) Gram matrix over L, or the stack from a
+    (T, 5, 5) stack of them; row 0 holds <L_b> = G_0b."""
+    first = (_LADDER_TO_R @ gram[..., 0, :, None])[..., 0]
+    bad = np.abs(first.imag).max(axis=-1) > 1e-8
     if bad.any():
-        raise ValueError("first moments of Hermitian quadratures came out complex "
-                         f"(row {np.argmax(bad)})")
+        _refuse(~bad, "first moments of Hermitian quadratures came out complex")
     r = first.real
-    v = (_LADDER_TO_R.conj() @ gram @ _LADDER_TO_R.T).real - r[:, :, None] * r[:, None, :]
+    v = (_LADDER_TO_R.conj() @ gram @ _LADDER_TO_R.T).real - r[..., :, None] * r[..., None, :]
     return HigherOrderCovariance(v, f_ka, f_lb, r, n, k, l)
 
 
@@ -309,28 +323,30 @@ def build_covariance(state: QuantumState, n: int, k: int, l: int) -> HigherOrder
     """
     if state.is_pure:
         return covariance_stack(state.layout, state.support, state.amplitudes[None], n, k, l)[0]
-    diag, pairs = _density_terms(state.layout, n, k, l)
+    diag, a, b, flat, w, starts = _density_terms(state.layout, n, k, l)
     rho = state.matrix
     sums = diag @ rho.diagonal().real
     gram = np.diag(sums[:_N_LADDER]).astype(complex)
-    for a, b, rows_a, rows_b, w in pairs:
-        gram[a, b] = w @ rho[rows_b, rows_a]
-        gram[b, a] = gram[a, b].conjugate()
-    return _from_gram(gram[None], sums[-2], sums[-1], n, k, l)[0]
+    gram[a, b] = np.add.reduceat(w * rho.take(flat), starts)
+    gram[b, a] = gram[a, b].conj()
+    return _from_gram(gram, sums[-2], sums[-1], n, k, l)
 
 
-def _sl2_normal_scaling(block: np.ndarray) -> tuple[np.ndarray, float]:
-    """det-1 transform S with S block S^T = sqrt(det block) * I."""
-    evals, vecs = np.linalg.eigh((block + block.T) / 2.0)
-    if evals[0] <= 0:
-        raise DegenerateStateError(f"covariance block not positive definite, eigs={evals}")
-    if np.linalg.det(vecs) < 0:
-        vecs = vecs[:, ::-1]
-        evals = evals[::-1]
-    l1, l2 = evals
-    d = np.diag([(l2 / l1) ** 0.25, (l1 / l2) ** 0.25])
-    s = d @ vecs.T
-    return s, float(np.sqrt(l1 * l2))
+def _sl2_scaling(block: np.ndarray) -> tuple[np.ndarray, float]:
+    """The symmetric det-1 S with S M S^T = s I for the 2x2 block M, where
+    s = sqrt(det M): S = (adj M + s I) / sqrt(s (tr M + 2 s)). A block that
+    is not positive definite (det M <= 0, or tr M <= 0) is refused."""
+    (p, q), (_, r) = block.tolist()
+    det = p * r - q * q
+    if not (det > 0 and p + r > 0):
+        raise DegenerateStateError(f"covariance block not positive definite: {block.tolist()}")
+    s = math.sqrt(det)
+    return np.array([[r + s, -q], [-q, p + s]]) / math.sqrt(s * (p + r + 2.0 * s)), s
+
+
+def _rotation(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -360,27 +376,28 @@ class StandardForm:
 
 
 def standard_form(cov: HigherOrderCovariance) -> StandardForm:
-    """Reduce V to diag-block standard form via local det-1 transforms.
+    """Reduce V to diag-block standard form via local det-1 transforms, in
+    closed form.
 
-    Two-step construction: a 2x2 Williamson-like scaling per party makes each
-    diagonal block proportional to the identity, then a special-orthogonal SVD
-    of the cross block diagonalizes it with singular values ordered c1 >= |c2|
-    and the sign of det C carried by c2.
+    Each party's block M goes to s I, s = sqrt(det M), under the symmetric
+    det-1 S = (adj M + s I) / sqrt(s (tr M + 2 s)). The scaled cross block
+    U = S_A C S_B^T is then diagonalized by two rotations: with
+    E, F = (U00 +- U11)/2 and G, H = (U10 +- U01)/2,
+    U = R(alpha) diag(c1, c2) R(beta) for c1 = hypot(E, H) + hypot(F, G),
+    c2 = hypot(E, H) - hypot(F, G), alpha + beta = atan2(H, E) and
+    alpha - beta = atan2(G, F). So c1 >= |c2|, and c2 carries the sign of
+    det C. t_a = R(-alpha) S_A and t_b = R(beta) S_B.
     """
     _require_rank(cov, False, "standard_form")
-    s_a, nu_a = _sl2_normal_scaling(cov.block_a)
-    s_b, nu_b = _sl2_normal_scaling(cov.block_b)
-    u = s_a @ cov.block_c @ s_b.T
-    w, sig, xt = np.linalg.svd(u)
-    x = xt.T
-    dw, dx = np.linalg.det(w), np.linalg.det(x)
-    # fold possible reflections into the second singular value
-    o_a = (w @ np.diag([1.0, dw])).T
-    o_b = (x @ np.diag([1.0, dx])).T
-    c1 = float(sig[0])
-    c2 = float(sig[1] * dw * dx)
-    t_a = o_a @ s_a
-    t_b = o_b @ s_b
+    s_a, a = _sl2_scaling(cov.block_a)
+    s_b, b = _sl2_scaling(cov.block_b)
+    (u00, u01), (u10, u11) = (s_a @ cov.block_c @ s_b).tolist()
+    e, f, g, h = (u00 + u11) / 2, (u00 - u11) / 2, (u10 + u01) / 2, (u10 - u01) / 2
+    half_sum, half_diff = math.hypot(e, h), math.hypot(f, g)  # (c1 + c2)/2, (c1 - c2)/2
+    turn, twist = math.atan2(h, e), math.atan2(g, f)  # alpha + beta, alpha - beta
+    t_a = _rotation(-(turn + twist) / 2) @ s_a
+    t_b = _rotation((turn - twist) / 2) @ s_b
     for t in (t_a, t_b):
         t.flags.writeable = False
-    return StandardForm(nu_a, nu_b, c1, c2, cov.f_ka, cov.f_lb, t_a, t_b)
+    c1, c2 = half_sum + half_diff, half_sum - half_diff
+    return StandardForm(a, b, c1, c2, cov.f_ka, cov.f_lb, t_a, t_b)

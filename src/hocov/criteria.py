@@ -25,6 +25,7 @@ invariants once for both determinant inequalities, one batched ``det``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,10 @@ def _determinant_margins(cov: HigherOrderCovariance) -> tuple[np.ndarray, np.nda
 
 
 def _lemma1(cov: HigherOrderCovariance) -> np.ndarray:
-    f = np.stack([cov.f_ka, cov.f_ka, cov.f_lb, cov.f_lb], axis=-1)
-    return np.linalg.det(cov.matrix - f[..., :, None] * np.eye(4) / 2.0)
+    m = cov.matrix.copy()
+    for i, f in enumerate((cov.f_ka, cov.f_ka, cov.f_lb, cov.f_lb)):
+        m[..., i, i] -= f / 2.0
+    return np.linalg.det(m)
 
 
 def uncertainty_margin(cov: HigherOrderCovariance) -> float:
@@ -164,18 +167,15 @@ class Lemma2Result:
         return HigherOrderCovariance(self.transformed, self.f_k, self.f_l, np.zeros(4), 1, 1, 1)
 
 
-def _plane_blocks(a, b, c1, c2, u, v):
-    s = np.sqrt(u * v)
-    qq = np.array([[a * u, c1 * s], [c1 * s, b * v]])
-    pp = np.array([[a / u, c2 / s], [c2 / s, b / v]])
-    return qq, pp
-
-
-def _eig2(m):
-    """(larger, smaller) eigenvalue of a real symmetric 2x2 matrix."""
-    h = (m[0, 0] + m[1, 1]) / 2.0
-    r = np.hypot((m[0, 0] - m[1, 1]) / 2.0, m[0, 1])
-    return h + r, h - r
+def _plane_eigenvalues(a, b, c1, c2, u, v):
+    """(larger, smaller) eigenvalues of the qq plane [[a u, c1 w], [c1 w, b v]]
+    and of the pp plane [[a/u, c2/w], [c2/w, b/v]], w = sqrt(u v)."""
+    w = math.sqrt(u * v)
+    out = ()
+    for p, q, r in ((a * u, c1 * w, b * v), (a / u, c2 / w, b / v)):
+        h, d = (p + r) / 2.0, math.hypot((p - r) / 2.0, q)
+        out += (h + d, h - d)
+    return out
 
 
 def _saturating_scalings(a, b, c1, c2, fk, fl):
@@ -197,7 +197,7 @@ def _saturating_scalings(a, b, c1, c2, fk, fl):
         return []
     # a boundary state's double root can round disc below 0; the caller's
     # residual check guards it. Cancellation-free roots: q/lead and const/q
-    q = -(mid + np.copysign(np.sqrt(max(disc, 0.0)), mid)) / 2.0
+    q = -(mid + math.copysign(math.sqrt(max(disc, 0.0)), mid)) / 2.0
     roots = [const / q] if q != 0 else []
     if lead != 0:
         roots.append(q / lead)
@@ -227,9 +227,8 @@ def lemma2_transform(sf: StandardForm) -> Lemma2Result:
     det C < 0 inputs are rejected: they are mirror images of the covered case
     and are exactly the entanglement candidates the lemma does not address.
     """
-    a, b = sf.a, sf.b
-    c1, c2 = sf.c1, sf.c2
-    fk, fl = sf.f_ka, sf.f_lb
+    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
+    fk, fl = float(sf.f_ka), float(sf.f_lb)
     if c1 < 0:
         # a local half-turn on one party flips both signs at once
         c1, c2 = -c1, -c2
@@ -248,13 +247,11 @@ def lemma2_transform(sf: StandardForm) -> Lemma2Result:
 
     if abs(c2) <= 1e-12 * scale:
         # det C = 0 branch: plain scaling, pp plane lands exactly on (fk/2, fl/2)
-        off = 2.0 * np.sqrt(a * b) * c1 / np.sqrt(fk * fl)
-        v1 = np.diag([2 * a**2 / fk, fk / 2.0, 2 * b**2 / fl, fl / 2.0])
-        v1[0, 2] = v1[2, 0] = off
         lambdas = (2 * a**2 / fk, fk / 2.0, 2 * b**2 / fl, fl / 2.0)
-        y1 = fk * np.sqrt(2 * a / fk)
-        y2 = fl * np.sqrt(2 * b / fl)
-        return Lemma2Result(lambdas, 1.0, y1, y2, fk, fl, v1, 0.0, swapped)
+        v1 = np.diag(lambdas)
+        v1[0, 2] = v1[2, 0] = 2.0 * math.sqrt(a * b) * c1 / math.sqrt(fk * fl)
+        return Lemma2Result(lambdas, 1.0, fk * math.sqrt(2 * a / fk), fl * math.sqrt(2 * b / fl),
+                            fk, fl, v1, 0.0, swapped)
 
     roots = _saturating_scalings(a, b, c1, c2, fk, fl)
     if not roots:
@@ -264,8 +261,7 @@ def lemma2_transform(sf: StandardForm) -> Lemma2Result:
             f"f_k={fk:.6g}, f_l={fl:.6g}"
         )
     u, v = max(roots)
-    qq, pp = _plane_blocks(a, b, c1, c2, u, v)
-    lambdas = (*_eig2(qq), *_eig2(pp))
+    lambdas = _plane_eigenvalues(a, b, c1, c2, u, v)
     res = abs(lambdas[1] - fk / 2.0) + abs(lambdas[3] - fl / 2.0)
     if res > LEMMA2_TOL * max(1.0, fk + fl):
         raise NumericalConsistencyError(
@@ -273,11 +269,8 @@ def lemma2_transform(sf: StandardForm) -> Lemma2Result:
             f"{res:.3e} for a={a:.6g}, b={b:.6g}, c1={c1:.6g}, c2={c2:.6g}, "
             f"f_k={fk:.6g}, f_l={fl:.6g}"
         )
-    lambdas = tuple(float(lam) for lam in lambdas)
-    return Lemma2Result(
-        lambdas, 1.0, float(fk * np.sqrt(u)), float(fl * np.sqrt(v)), fk, fl,
-        np.diag(lambdas), float(res), swapped,
-    )
+    return Lemma2Result(lambdas, 1.0, fk * math.sqrt(u), fl * math.sqrt(v), fk, fl,
+                        np.diag(lambdas), res, swapped)
 
 
 def nha_zubairy(state: QuantumState) -> float:

@@ -161,3 +161,17 @@ def cokurtosis(state, x, y, z, w) -> float:
                  for a, b, c, d in permutations(range(4))) / 24.0
     assert abs(fourth.imag) <= IMAG_TOL
     return float(fourth.real) - pair(0, 1) * pair(2, 3) - pair(0, 2) * pair(1, 3) - pair(0, 3) * pair(1, 2)
+
+
+def lapack_standard_form(v: np.ndarray) -> tuple[float, float, float, float]:
+    """(a, b, c1, c2) of the 4x4 covariance ``v`` by LAPACK: each diagonal
+    block is scaled to a multiple of I along its ``eigh`` eigenvectors, and
+    the scaled cross block's ``svd`` gives c1 and |c2|, with c2 signed like
+    det C."""
+    scalings, scales = [], []
+    for block in (v[:2, :2], v[2:, 2:]):
+        evals, vecs = np.linalg.eigh(block)
+        scales.append(math.sqrt(evals.prod()))
+        scalings.append(math.sqrt(scales[-1]) * np.diag(evals ** -0.5) @ vecs.T)
+    sig = np.linalg.svd(scalings[0] @ v[:2, 2:] @ scalings[1].T, compute_uv=False)
+    return scales[0], scales[1], float(sig[0]), float(sig[1] * np.sign(np.linalg.det(v[:2, 2:])))

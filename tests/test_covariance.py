@@ -10,6 +10,7 @@ from hocov import (
     InteractionSpec,
     ModeLayout,
     QuantumState,
+    StandardForm,
     build_covariance,
     build_hamiltonian,
     coherent_state,
@@ -20,6 +21,7 @@ from hocov import (
     inequality8_margin,
     invariants,
     lemma1_check,
+    lemma2_transform,
     mirror_reflect,
     nonlinear_quadratures,
     product_state,
@@ -29,7 +31,15 @@ from hocov import (
     vacuum_state,
     witness_nu_minus,
 )
-from reference import cokurtosis, coskewness_block, expectation, quadratures, reference_covariance, tmsv_state
+from reference import (
+    cokurtosis,
+    coskewness_block,
+    expectation,
+    lapack_standard_form,
+    quadratures,
+    reference_covariance,
+    tmsv_state,
+)
 
 
 def spdc_state(xi=0.3, dims=(6, 5, 9), k=1, l=2, alpha=1.5):
@@ -233,7 +243,7 @@ def test_covariance_stack_matches_the_operator_path(n):
 def test_covariance_stack_members_do_not_depend_on_the_stack():
     # more states than one block of the sums: every member equals the same
     # state evaluated alone, bit for bit, whichever block it falls in
-    from hocov.covariance import _BLOCK
+    from hocov.covariance import _BLOCK, _from_gram
 
     lay = ModeLayout((3, 8, 14))
     support, amps = random_stack(np.random.default_rng(9), lay, 150, 2 * _BLOCK + 3)
@@ -244,6 +254,22 @@ def test_covariance_stack_members_do_not_depend_on_the_stack():
             assert np.array_equal(one.matrix[0], stack.matrix[t]), (n, t)
             assert np.array_equal(one.first_moments[0], stack.first_moments[t]), (n, t)
             assert (one.f_ka[0], one.f_lb[0]) == (stack.f_ka[t], stack.f_lb[t]), (n, t)
+    # a density matrix's single (5, 5) Gram matrix finishes like a stack of one
+    rng = np.random.default_rng(10)
+    gram = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    gram += gram.conj().T
+    z = rng.normal(size=2) + 1j * rng.normal(size=2)
+    gram[0] = [1.0, z[0], z[0].conj(), z[1], z[1].conj()]  # <1>, <A>, <A+>, <B>, <B+>
+    gram[:, 0] = gram[0].conj()
+    one = _from_gram(gram, 0.5, 0.7, 1, 1, 2)
+    stacked = _from_gram(gram[None], np.array([0.5]), np.array([0.7]), 1, 1, 2)[0]
+    assert np.array_equal(one.matrix, stacked.matrix)
+    assert np.array_equal(one.first_moments, stacked.first_moments)
+    gram[0, 2] += 1e-3j  # <A+> is no longer conj(<A>)
+    with pytest.raises(ValueError, match=r"came out complex$"):
+        _from_gram(gram, 0.5, 0.7, 1, 1, 2)
+    with pytest.raises(ValueError, match=r"came out complex \(row 0\)$"):
+        _from_gram(gram[None], np.array([0.5]), np.array([0.7]), 1, 1, 2)
 
 
 def test_covariance_stack_refuses_a_bad_stack():
@@ -401,10 +427,69 @@ def test_standard_form_idempotent():
 
 
 def test_standard_form_rejects_degenerate_block():
-    v = np.diag([0.0, 1.0, 1.0, 1.0])
-    cov = HigherOrderCovariance(v, 0.5, 0.5, np.zeros(4), 1, 1, 1)
-    with pytest.raises(DegenerateStateError):
-        standard_form(cov)
+    # singular, indefinite (det < 0), and negative definite (det > 0 but
+    # trace < 0, which a test of det alone would pass), on either party
+    for block in ([[0.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.3], [0.3, -2.0]]):
+        for party in (slice(0, 2), slice(2, 4)):
+            v = np.eye(4)
+            v[party, party] = block
+            cov = HigherOrderCovariance(v, 0.5, 0.5, np.zeros(4), 1, 1, 1)
+            with pytest.raises(DegenerateStateError, match="not positive definite"):
+                standard_form(cov)
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def local_image(a, b, c1, c2, s_a, s_b):
+    """The covariance L V0 L^T, for V0 the standard form (a, b, c1, c2) and
+    L = s_a (+) s_b."""
+    lt = np.zeros((4, 4))
+    lt[:2, :2], lt[2:, 2:] = s_a, s_b
+    v0 = StandardForm(a, b, c1, c2, 0.5, 0.5, np.eye(2), np.eye(2)).matrix()
+    return HigherOrderCovariance(lt @ v0 @ lt.T, 0.5, 0.5, np.zeros(4), 1, 1, 1)
+
+
+def standard_form_edge_cases():
+    """(label, covariance, the standard form it was built from)."""
+    s_a = np.diag([1.7, 1 / 1.7]) @ rotation(0.4)
+    s_b = np.diag([0.6, 1 / 0.6]) @ rotation(-1.1)
+    for label, form in (("det C < 0", (1.0, 1.3, 0.6, -0.4)),
+                        ("c2 = 0", (1.0, 1.3, 0.6, 0.0)),
+                        ("c1 = c2", (1.0, 1.3, 0.5, 0.5)),
+                        ("c1 = -c2", (1.0, 1.3, 0.5, -0.5))):
+        yield label, local_image(*form, s_a, s_b), form
+    # diagonal blocks with eigenvalue ratio 32^4 ~ 1.05e6: diag(32, 1/32)
+    # leaves a I diagonal under any rotation, which only the cross block sees
+    a, b, c1, c2 = 0.8, 1.1, 0.5, 0.3
+    wide = np.diag([32.0, 1 / 32])
+    cov = local_image(a, b, c1, c2, wide @ rotation(0.7), wide[::-1, ::-1] @ rotation(2.0))
+    v = np.array(cov.matrix)
+    v[:2, :2], v[2:, 2:] = np.diag([a * 1024, a / 1024]), np.diag([b / 1024, b * 1024])
+    yield "eigenvalue ratio 1e6", HigherOrderCovariance(v, 0.5, 0.5, np.zeros(4), 1, 1, 1), (a, b, c1, c2)
+
+
+def test_standard_form_matches_the_lapack_route():
+    rng = np.random.default_rng(43)
+    cases = [("random", random_covariance(rng, scale=rng.uniform(0.5, 3.0)), None) for _ in range(60)]
+    for label, cov, form in [*cases, *standard_form_edge_cases()]:
+        sf = standard_form(cov)
+        got = (sf.a, sf.b, sf.c1, sf.c2)
+        scale = max(map(abs, got))
+        for want in (lapack_standard_form(cov.matrix), form):
+            if want is not None:
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale), (label, got, want)
+        assert sf.c1 >= abs(sf.c2)
+        t = np.zeros((4, 4))
+        t[:2, :2], t[2:, 2:] = sf.t_a, sf.t_b
+        assert np.linalg.det(sf.t_a) == pytest.approx(1.0, abs=1e-10), label
+        assert np.linalg.det(sf.t_b) == pytest.approx(1.0, abs=1e-10), label
+        gap = np.abs(t @ cov.matrix @ t.T - sf.matrix()).max()
+        assert gap < 1e-9 * max(1.0, np.abs(cov.matrix).max()), (label, gap)
+        if label == "c2 = 0":  # lemma 2's det C = 0 branch keeps the q_A q_B coupling
+            res = lemma2_transform(sf)
+            assert res.residual == 0.0 and res.transformed[0, 2] != 0.0
 
 
 def test_covariance_validation():

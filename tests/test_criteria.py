@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 
@@ -256,13 +257,21 @@ HAND_BUILT_FORMS = (
 )
 
 
-def acceptance_09_standard_forms():
-    """The 100 seeded mixtures of acceptance test 09, in standard form."""
+@lru_cache(maxsize=1)
+def acceptance_09_covariances():
+    """The covariances of the 100 seeded mixtures of acceptance test 09."""
     rng = np.random.default_rng(71)
+    out = []
     for _ in range(100):
         rho = 0.45 + 0.3 * rng.random()
         noise = 0.1 + 0.1 * rng.random()
-        yield standard_form(coherent_mixture_covariance(rng, rho=rho, noise=noise))
+        out.append(coherent_mixture_covariance(rng, rho=rho, noise=noise))
+    return tuple(out)
+
+
+def acceptance_09_standard_forms():
+    """The 100 seeded mixtures of acceptance test 09, in standard form."""
+    return map(standard_form, acceptance_09_covariances())
 
 
 def plane_blocks(a, b, c1, c2, u, v):
@@ -297,6 +306,31 @@ def test_lemma2_quadratic_saturates_both_planes():
         assert np.abs(np.linalg.eigvalsh(pp)[::-1] - res.lambdas[2:]).max() < 1e-10
         assert res.residual < 1e-10
         assert (res.f_k, res.f_l) == ((sf.f_lb, sf.f_ka) if res.swapped else (sf.f_ka, sf.f_lb))
+
+
+def test_lemma2_scaling_saturates_the_input_covariance():
+    # the certificate's planes rebuilt from the input V, not from (a, b, c1,
+    # c2): T_A (+) T_B, then the transform's sign flip and party swap, then
+    # its (u, v) scaling. f_k = f_l on these mixtures, so the plane-wise and
+    # party-wise conventions for f agree
+    for cov in acceptance_09_covariances():
+        sf = standard_form(cov)
+        res = lemma2_transform(sf)
+        assert res.f_k == pytest.approx(res.f_l, rel=1e-12)
+        t = np.zeros((4, 4))
+        t[:2, :2], t[2:, 2:] = sf.t_a, sf.t_b
+        if sf.c1 < 0:
+            t[2:] *= -1.0  # the local half-turn on party B
+        if res.swapped:
+            t = t[[2, 3, 0, 1]]
+        u, v = (res.x * res.y1 / res.f_k) ** 2, (res.y2 / (res.x * res.f_l)) ** 2
+        t = np.diag([np.sqrt(u), 1 / np.sqrt(u), np.sqrt(v), 1 / np.sqrt(v)]) @ t
+        w = t @ cov.matrix @ t.T
+        # the lemma reads V_s as the qq plane (+) the pp plane: nothing couples them
+        assert np.abs(w[np.ix_([0, 2], [1, 3])]).max() < 1e-9 * np.abs(w).max()
+        for plane, f in (([0, 2], res.f_k), ([1, 3], res.f_l)):
+            low = np.linalg.eigvalsh(w[np.ix_(plane, plane)])[0]
+            assert abs(low - f / 2) < 1e-6, (plane, low, f)
 
 
 def admissible_scalings(a, b, c1, c2, fk, fl):
