@@ -5,7 +5,8 @@ The package is organized bottom-up:
 
 ``fock``
     mode layouts, the truncated ladder rule that builds every operator,
-    initial states
+    coherent and product states, the top-level populations of the
+    truncation guard
 ``quadratures``
     nonlinear quadratures Q^m, P^m and the commutator polynomials f_m
 ``dynamics``
@@ -31,16 +32,12 @@ from .fock import (
     TruncatedOperator,
     TruncationError,
     coherent_state,
-    fock_state,
     product_state,
-    thermal_state,
     top_level_population,
     top_level_populations,
-    vacuum_state,
 )
 from .quadratures import (
     MAX_ORDER,
-    QuadraturePair,
     UnsupportedOrderError,
     f_operator,
     f_values,

@@ -281,7 +281,7 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
     if hamiltonian.layout.dims != state.layout.dims:
         raise ValueError("state and Hamiltonian live on different layouts")
     norm = float(np.linalg.norm(state.amplitudes))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValueError(f"evolve needs a normalized state; its norm is {norm:.12f}")
     nodes, links = _chains(hamiltonian.entries, hamiltonian.layout.total_dim, state.support)
     # the phase gauge psi_j -> conj(d_j) psi_j, d_j+1 = d_j conj(h_j) / |h_j|,
@@ -319,9 +319,8 @@ def evolve(state: QuantumState, hamiltonian: TruncatedOperator, config: Evolutio
         amps[at:at + GRID_CHUNK] = y.reshape(nodes.size, -1)[pos].T
     norms = np.linalg.norm(amps, axis=1)
     drift = np.abs(norms - 1.0)
-    if drift.max() > NORM_TOL:
-        j = int(np.argmax(drift > NORM_TOL))
+    if not drift.max() <= NORM_TOL:  # NaN fails too
+        j = int(np.argmax(~(drift <= NORM_TOL)))
         raise IntegratorError(f"norm drifted to {norms[j]:.12f} at xi={config.xi_grid[j]}",
                               residual=float(drift[j]))
-    return [QuantumState.on_support(state.layout, support, row, time=float(t))
-            for row, t in zip(amps, times)]
+    return [QuantumState.on_support(state.layout, support, row) for row in amps]

@@ -1,5 +1,7 @@
 """Truncated multimode Fock space: layouts, the truncated ladder rule, the
-operators built from it, and initial states.
+operators built from it, the states the sweep and the certification start
+from (a coherent pump, a product of single-mode factors), and the
+top-level populations of the truncation guard.
 
 All multimode objects use a row-major basis over the mode order of the layout,
 i.e. for a three-mode layout (pump, A, B) the flat index of |n_p, n_a, n_b> is
@@ -42,6 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+TOP_LEVELS = 2  # the truncation guard reads each mode's top two Fock levels
 
 
 class TruncationError(ValueError):
@@ -159,28 +163,27 @@ class QuantumState:
     dense vector, ``QuantumState.on_support`` takes the sparse form as it is,
     and ``vector`` rebuilds the dense array on each access (nothing on the
     sweep path reads it). A state that ``evolve`` returns has the chains its
-    trajectory reaches as ``support``, a superset of its nonzero amplitudes. A density matrix is held as
-    ``matrix``, with every index as its support and no amplitudes; it must be
-    Hermitian to 1e-10, since ``build_covariance`` reads one triangle, and
-    have unit trace to 1e-8, as ``evolve`` holds a pure state's norm. ``time``
-    records the physical time the state was evolved to (0 for freshly
-    constructed states). All arrays are read-only.
+    trajectory reaches as ``support``, a superset of its nonzero amplitudes.
+    Amplitudes must be finite. A density matrix is held as ``matrix``, with
+    every index as its support and no amplitudes; it must be Hermitian to
+    1e-10, since ``build_covariance`` reads one triangle, and have unit trace
+    to 1e-8, as ``evolve`` holds a pure state's norm. All arrays are
+    read-only.
     """
 
     layout: ModeLayout
     support: np.ndarray
     amplitudes: np.ndarray | None
     matrix: np.ndarray | None
-    time: float
 
-    def __init__(self, layout: ModeLayout, vector=None, matrix=None, time: float = 0.0):
+    def __init__(self, layout: ModeLayout, vector=None, matrix=None):
         n = layout.total_dim
         if (vector is None) == (matrix is None):
             raise ValueError("exactly one of vector/matrix must be given")
         if vector is not None:
             v = np.asarray(vector, dtype=complex).reshape(n)
             support = np.flatnonzero(v)
-            self._hold(layout, support, v[support], None, time)
+            self._hold(layout, support, v[support], None)
         else:
             m = np.asarray(matrix, dtype=complex)
             if m.shape != (n, n):
@@ -191,10 +194,10 @@ class QuantumState:
             trace = np.trace(m).real
             if not abs(trace - 1.0) <= 1e-8:
                 raise ValueError(f"density matrix must have unit trace; its trace is {trace:.12f}")
-            self._hold(layout, np.arange(n), None, m, time)
+            self._hold(layout, np.arange(n), None, m)
 
     @classmethod
-    def on_support(cls, layout: ModeLayout, support, amplitudes, time: float = 0.0) -> "QuantumState":
+    def on_support(cls, layout: ModeLayout, support, amplitudes) -> "QuantumState":
         """Pure state with ``amplitudes`` at the strictly increasing flat Fock
         indices ``support``; no full-space array is formed."""
         idx = np.asarray(support).reshape(-1)
@@ -204,15 +207,21 @@ class QuantumState:
         if idx.size and (idx[0] < 0 or idx[-1] >= layout.total_dim or np.any(idx[1:] <= idx[:-1])):
             raise ValueError(f"support must increase strictly within [0, {layout.total_dim})")
         state = object.__new__(cls)
-        state._hold(layout, idx, amp, None, time)
+        state._hold(layout, idx, amp, None)
         return state
 
-    def _hold(self, layout, support, amplitudes, matrix, time) -> None:
+    def _hold(self, layout, support, amplitudes, matrix) -> None:
+        # a non-finite amplitude makes the sum non-finite, and the sum allocates no array
+        if (amplitudes is not None and not cmath.isfinite(amplitudes.sum())
+                and not np.isfinite(amplitudes).all()):
+            bad = np.flatnonzero(~np.isfinite(amplitudes))[0]
+            raise ValueError(f"amplitudes must be finite; flat index {support[bad]} "
+                             f"holds {amplitudes[bad]}")
         for arr in (support, amplitudes, matrix):
             if arr is not None:
                 arr.flags.writeable = False
         for name, value in (("layout", layout), ("support", support), ("amplitudes", amplitudes),
-                            ("matrix", matrix), ("time", float(time))):
+                            ("matrix", matrix)):
             object.__setattr__(self, name, value)
 
     @property
@@ -229,31 +238,6 @@ class QuantumState:
         v[self.support] = self.amplitudes
         v.flags.writeable = False
         return v
-
-    def norm(self) -> float:
-        if self.is_pure:
-            return float(np.linalg.norm(self.amplitudes))
-        return float(np.trace(self.matrix).real)
-
-    def density(self) -> np.ndarray:
-        if self.is_pure:
-            v = self.vector
-            return np.outer(v, v.conj())
-        return self.matrix
-
-    def populations(self) -> np.ndarray:
-        """Joint Fock-level populations, shaped like the layout's dims."""
-        if self.is_pure:
-            p = np.zeros(self.layout.total_dim)
-            p[self.support] = np.abs(self.amplitudes) ** 2
-        else:
-            p = np.diag(self.matrix).real
-        return p.reshape(self.layout.dims)
-
-    def mode_populations(self, mode: int) -> np.ndarray:
-        """Marginal Fock-level populations of one mode."""
-        axes = tuple(i for i in range(self.layout.nmodes) if i != mode)
-        return self.populations().sum(axis=axes)
 
 
 def occupations(layout: ModeLayout, idx, mode: int) -> np.ndarray:
@@ -341,37 +325,6 @@ def coherent_state(alpha: complex, dim: int, allow_truncation: bool = False) -> 
     return vec
 
 
-def thermal_state(n_th: float, dim: int) -> np.ndarray:
-    """Truncated thermal density matrix, p_n ~ (n_th/(1+n_th))^n, renormalized."""
-    if not (n_th >= 0 and math.isfinite(n_th)):  # NaN too
-        raise ValueError(f"mean thermal occupation n_th must be finite and >= 0, got {n_th!r}")
-    if n_th == 0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-    else:
-        q = n_th / (1.0 + n_th)
-        p = q ** np.arange(dim)
-        p /= p.sum()
-    return np.diag(p.astype(complex))
-
-
-def fock_state(occupations: tuple[int, ...], layout: ModeLayout) -> QuantumState:
-    """Product Fock basis state |n_0, n_1, ...>."""
-    if len(occupations) != layout.nmodes:
-        raise ValueError("one occupation per mode required")
-    for n, d in zip(occupations, layout.dims):
-        if not 0 <= n < d:
-            raise ValueError(f"occupation {n} outside [0, {d})")
-    idx = 0
-    for n, d in zip(occupations, layout.dims):
-        idx = idx * d + n
-    return QuantumState.on_support(layout, [idx], [1.0])
-
-
-def vacuum_state(layout: ModeLayout) -> QuantumState:
-    return fock_state((0,) * layout.nmodes, layout)
-
-
 def product_state(layout: ModeLayout, *factors) -> QuantumState:
     """Tensor product of per-mode factors (vectors and/or density matrices).
 
@@ -403,28 +356,27 @@ def product_state(layout: ModeLayout, *factors) -> QuantumState:
     return QuantumState(layout, matrix=rho)
 
 
-def top_level_populations(layout: ModeLayout, support, amplitudes, levels: int = 2) -> np.ndarray:
-    """(T, modes) population in the top ``levels`` Fock levels of each mode,
-    for T pure states whose (T, S) ``amplitudes`` sit on one ``support``."""
-    amp = np.ascontiguousarray(amplitudes)
-    p = amp.real ** 2 + amp.imag ** 2
+def top_level_populations(layout: ModeLayout, support, populations) -> np.ndarray:
+    """(T, modes) population in the top TOP_LEVELS Fock levels of each mode,
+    for T states whose (T, S) ``populations`` sit on one ``support``."""
+    p = np.ascontiguousarray(populations)
     # np.take keeps each state's row contiguous (p[:, mask] would not), so a
     # state's sum is the same in a stack of any size
-    return np.stack([np.take(p, np.flatnonzero(occupations(layout, support, mode) >= dim - levels),
+    return np.stack([np.take(p, np.flatnonzero(occupations(layout, support, mode) >= dim - TOP_LEVELS),
                              axis=1).sum(axis=1)
                      for mode, dim in enumerate(layout.dims)], axis=1)
 
 
-def top_level_population(state: QuantumState, levels: int = 2) -> dict[int, float]:
-    """Total population in the top ``levels`` Fock levels of each mode.
+def top_level_population(state: QuantumState) -> dict[int, float]:
+    """Total population in the top TOP_LEVELS Fock levels of each mode.
 
     This is the post-hoc truncation guard: trajectories whose top two levels
     in any mode accumulate more than ~1e-6 population should not be trusted.
-    A pure state goes through ``top_level_populations`` as a stack of one.
+    A pure state's populations on its support, or a density matrix's
+    diagonal, go through ``top_level_populations`` as a stack of one.
     """
     if state.is_pure:
-        pops = top_level_populations(state.layout, state.support, state.amplitudes[None], levels)
-        return dict(enumerate(pops[0].tolist()))
-    pops = state.populations()
-    return {mode: float(np.moveaxis(pops, mode, 0)[-levels:].sum())
-            for mode in range(state.layout.nmodes)}
+        support, p = state.support, state.amplitudes.real ** 2 + state.amplitudes.imag ** 2
+    else:
+        support, p = np.arange(state.layout.total_dim), np.diag(state.matrix).real
+    return dict(enumerate(top_level_populations(state.layout, support, p[None])[0].tolist()))

@@ -26,8 +26,6 @@ through ``fock.shift``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fock import ModeLayout, TruncatedOperator, occupations, two_band
@@ -52,16 +50,6 @@ def f_values(m: int, n) -> np.ndarray:
     return (rising - falling) / 2
 
 
-@dataclass(frozen=True)
-class QuadraturePair:
-    """Q^m and P^m of one mode, on the full space."""
-
-    mode: int
-    m: int
-    q: TruncatedOperator
-    p: TruncatedOperator
-
-
 def check_order(layout: ModeLayout, mode: int, m: int) -> None:
     """Refuse a quadrature order outside 1..MAX_ORDER or not below the mode cutoff."""
     if not 1 <= m <= MAX_ORDER:
@@ -70,13 +58,14 @@ def check_order(layout: ModeLayout, mode: int, m: int) -> None:
         raise ValueError(f"m={m} needs mode dim > m, got {layout.dims[mode]}")
 
 
-def nonlinear_quadratures(layout: ModeLayout, mode: int, m: int) -> QuadraturePair:
-    """Q^m = (a^m + a+^m)/2 and P^m = i(a+^m - a^m)/2 of ``mode`` on the full
-    space; m must not exceed MAX_ORDER."""
+def nonlinear_quadratures(layout: ModeLayout, mode: int,
+                          m: int) -> tuple[TruncatedOperator, TruncatedOperator]:
+    """The pair (Q^m, P^m), Q^m = (a^m + a+^m)/2 and P^m = i(a+^m - a^m)/2,
+    of ``mode`` on the full space; m must not exceed MAX_ORDER."""
     check_order(layout, mode, m)
     shifts = [m if i == mode else 0 for i in range(layout.nmodes)]
-    q, p = (TruncatedOperator(layout, two_band(layout, shifts, c), hermitian=True) for c in (0.5, 0.5j))
-    return QuadraturePair(mode, m, q, p)
+    return tuple(TruncatedOperator(layout, two_band(layout, shifts, c), hermitian=True)
+                 for c in (0.5, 0.5j))
 
 
 def f_operator(layout: ModeLayout, mode: int, m: int) -> TruncatedOperator:

@@ -48,11 +48,9 @@ class SweepConfig:
     names its key: dims (three integer cutoffs >= 2), k and l (integers
     >= 1, not both 1), alpha_p and xi_step (positive and finite), xi_max
     (nonnegative and finite), hierarchy (positive integers, no level twice),
-    and the orders the hierarchy needs (at most MAX_ORDER and below each
-    mode's cutoff). The order cap is one of precision, not of f_m: with it
-    lifted, configs/competition.cfg at n = 5 (order 15 on B) wrote nu_minus
-    -3.1e14, -2.1e18 and -375 at xi 0.02, 0.04 and 0.06, every row reading
-    ``entangled`` and ``ok`` (the ``quadratures`` docstring has the cause).
+    and the orders the hierarchy needs (at most MAX_ORDER, a cap of
+    precision that the ``quadratures`` docstring states, and below each
+    mode's cutoff).
     """
 
     k: int = 1
@@ -131,9 +129,11 @@ _KEY_PARSERS = {
 def load_config(path: str) -> dict:
     """Parse a key=value config file into a typed mapping.
 
-    Blank lines and '#' comments are ignored; keys match SweepConfig fields.
+    Blank lines and '#' comments are ignored; keys match SweepConfig fields,
+    and a key set twice is refused with ValueError naming both lines.
     """
     out: dict = {}
+    lines: dict = {}  # key -> the line that set it
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -145,6 +145,9 @@ def load_config(path: str) -> dict:
             key = key.lower().replace("-", "_")
             if key not in _KEY_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+            lines[key] = lineno
             out[key] = _coerce(key, value, f"{path}:{lineno}")
     return out
 
@@ -207,10 +210,6 @@ class SweepResult:
     rows: tuple
     states: tuple
 
-    @property
-    def clean(self) -> bool:
-        return all(row.truncation_flag == "ok" for row in self.rows)
-
 
 def _initial_state(config: SweepConfig, layout: ModeLayout) -> QuantumState:
     """Coherent pump with vacuum signal and idler: the pump's n_p amplitude
@@ -243,7 +242,7 @@ def run_sweep(config: SweepConfig, keep_states: bool = True) -> SweepResult:
     amps = np.stack([state.amplitudes for state in states])
 
     # (pump, A, B) columns, one row per grid point
-    pops = top_level_populations(layout, support, amps)
+    pops = top_level_populations(layout, support, amps.real ** 2 + amps.imag ** 2)
     flags = np.where(pops.max(axis=1) > TOP_LEVEL_GUARD, "breach", "ok").tolist()
     pops = pops.tolist()
 

@@ -6,6 +6,9 @@ and ``fock.two_band`` for the Hamiltonian and the quadratures). Nothing
 here calls that rule, so a test that compares against these matrices
 shares no code with what it checks. Matrices act on hocov's flat index
 (n_p * dim_a + n_a) * dim_b + n_b, the order of chained Kronecker products.
+
+The vacuum, Fock and thermal inputs that only the tests use are built
+here too.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from hocov import EvolutionConfig, InteractionSpec, ModeLayout, TruncatedOperator, evolve, vacuum_state
+from hocov import EvolutionConfig, InteractionSpec, ModeLayout, QuantumState, TruncatedOperator, evolve
 
 IMAG_TOL = 1e-8  # largest imaginary part <op> of a Hermitian operator may show
 
@@ -83,6 +86,22 @@ def f_diagonal(dim: int, m: int) -> np.ndarray:
     """f_m(n) = [(n+1)...(n+m) - n(n-1)...(n-m+1)]/2 for n < dim, in exact integers."""
     return np.array([(math.prod(range(n + 1, n + m + 1)) - math.prod(range(n - m + 1, n + 1))) / 2
                      for n in range(dim)])
+
+
+def fock_state(occupations, layout: ModeLayout) -> QuantumState:
+    """The product Fock state |n_0, n_1, ...> on ``layout``."""
+    return QuantumState.on_support(layout, [np.ravel_multi_index(occupations, layout.dims)], [1.0])
+
+
+def vacuum_state(layout: ModeLayout) -> QuantumState:
+    return fock_state((0,) * layout.nmodes, layout)
+
+
+def thermal_density(n_th: float, dim: int) -> np.ndarray:
+    """Single-mode thermal density matrix, p_n ~ (n_th / (1 + n_th))^n,
+    renormalized on ``dim`` levels."""
+    p = (n_th / (1.0 + n_th)) ** np.arange(dim)
+    return np.diag(p / p.sum()).astype(complex)
 
 
 def expectation(op, state) -> complex:

@@ -34,13 +34,12 @@ from hocov import (
     nz_values,
     product_state,
     standard_form,
-    thermal_state,
     uncertainty_margin,
-    vacuum_state,
     witness_nu_minus,
 )
 from hocov.criteria import LEMMA2_TOL
-from reference import embed, expectation, number_operator, quadratures, symmetrized_covariance, tmsv_state
+from reference import (embed, expectation, number_operator, quadratures, symmetrized_covariance,
+                       thermal_density, tmsv_state, vacuum_state)
 
 
 def spdc_trajectory(dims=(8, 7, 13), k=1, l=2, alpha=1.3, xi_max=0.5, steps=5):
@@ -171,7 +170,7 @@ def test_verdicts():
     # product of thermal states: strictly separable with a finite margin
     pump = np.zeros(4, dtype=complex)
     pump[0] = 1.0
-    therm = product_state(lay, pump, thermal_state(0.4, 6), thermal_state(0.3, 10))
+    therm = product_state(lay, pump, thermal_density(0.4, 6), thermal_density(0.3, 10))
     sep = evaluate_criteria(therm, 1, 1, 2)
     assert sep.verdict == "separable"
     assert sep.nu_minus > 1e-3
@@ -197,8 +196,9 @@ def test_nha_zubairy_detects_downconversion():
     pump = np.eye(8, dtype=complex)[:, 2]
     displaced = product_state(lay, pump, coherent_state(0.4, 7),
                               coherent_state(0.3 * np.exp(0.25j * np.pi), 13))
-    mixed = QuantumState(lay, matrix=0.5 * states[-1].density() + 0.5 * displaced.density())
-    therm = product_state(lay, pump, thermal_state(0.3, 7), thermal_state(0.2, 13))
+    psi, phi = states[-1].vector, displaced.vector
+    mixed = QuantumState(lay, matrix=0.5 * np.outer(psi, psi.conj()) + 0.5 * np.outer(phi, phi.conj()))
+    therm = product_state(lay, pump, thermal_density(0.3, 7), thermal_density(0.2, 13))
     g = np.random.default_rng(8).normal(size=(lay.total_dim, 2 * lay.total_dim))
     g = g[:, ::2] + 1j * g[:, 1::2]
     noise = QuantumState(lay, matrix=g @ g.conj().T / np.trace(g @ g.conj().T).real)
@@ -432,9 +432,9 @@ def test_import_and_sweep_load_numpy_only(tmp_path):
         "rho = vecs.T @ vecs.conj() / len(vecs)\n"
         "sf = hocov.standard_form(hocov.build_covariance(hocov.QuantumState(lay, matrix=rho), 1, 1, 1))\n"
         "print(hocov.lemma1_check(hocov.lemma2_transform(sf).as_covariance()) >= -1e-8)\n"
-        "pair = hocov.nonlinear_quadratures(hocov.ModeLayout((12, 6, 11)), 2, 3)\n"
-        "f = hocov.f_operator(pair.q.layout, 2, 3)\n"
-        "print([type(a).__name__ for op in (pair.q, pair.p, f) for a in op.entries])\n"
+        "q, p = hocov.nonlinear_quadratures(hocov.ModeLayout((12, 6, 11)), 2, 3)\n"
+        "f = hocov.f_operator(q.layout, 2, 3)\n"
+        "print([type(a).__name__ for op in (q, p, f) for a in op.entries])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "tiny.csv"),

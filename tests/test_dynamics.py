@@ -20,7 +20,6 @@ from hocov import (
     evolve,
     nonlinear_quadratures,
     product_state,
-    vacuum_state,
 )
 import hocov.dynamics
 from hocov.dynamics import _chains
@@ -34,6 +33,7 @@ from reference import (
     number_operator,
     quadratures,
     reference_ladder_product,
+    vacuum_state,
 )
 
 
@@ -68,10 +68,8 @@ def test_banded_hamiltonian_matches_kronecker_construction(k, l, dims):
     assert_same_operator(build_hamiltonian(spec).data, kronecker_hamiltonian(spec))
     # the quadratures come from the same band builder, with c = 1/2 and i/2
     for mode, m in ((0, 1), (1, k), (2, l)):
-        pair = nonlinear_quadratures(lay, mode, m)
-        q, p = quadratures(lay, mode, m)
-        assert_same_operator(pair.q.data, q)
-        assert_same_operator(pair.p.data, p)
+        for op, ref in zip(nonlinear_quadratures(lay, mode, m), quadratures(lay, mode, m)):
+            assert_same_operator(op.data, ref)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (5, 9), (12, 7), (24, 24)])
@@ -541,7 +539,7 @@ def test_energy_and_norm_conservation():
     cfg = EvolutionConfig(xi_grid=grid, kappa=1.0, alpha_p=1.3)
     reference = kronecker_hamiltonian(InteractionSpec(lay, k=1, l=2))
     for state in evolve(psi0, h, cfg):
-        assert state.norm() == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-9)
         assert abs(expectation(reference, state)) < 1e-8
 
 
@@ -572,7 +570,8 @@ def test_evolution_config_validation():
 
 def test_density_matrix_input_raises():
     lay, h = trilinear_setup(dims=(3, 3, 5))
-    rho = vacuum_state(lay).density()
+    vac = vacuum_state(lay).vector
+    rho = np.outer(vac, vac)
     cfg = EvolutionConfig(xi_grid=(0.0, 0.1), kappa=1.0, alpha_p=1.0)
     with pytest.raises(ValueError, match="density matrix"):
         evolve(QuantumState(lay, matrix=rho), h, cfg)
@@ -588,6 +587,11 @@ def test_unnormalized_state_is_refused_before_the_block_walk(monkeypatch):
     for scale, norm in ((2.0, r"2\.000000000000"), (1.0 - 1e-6, r"0\.999999000000")):
         with pytest.raises(ValueError, match=rf"normalized state; its norm is {norm}$"):
             evolve(QuantumState(lay, vector=scale * psi.vector), h, cfg)
+    # a NaN norm fails the check too, for a state whose amplitudes were
+    # replaced after the constructors' finiteness check
+    object.__setattr__(psi, "amplitudes", np.full(psi.support.size, np.nan + 0j))
+    with pytest.raises(ValueError, match=r"normalized state; its norm is nan$"):
+        evolve(psi, h, cfg)
 
 
 def test_norm_drift_in_the_propagator_raises_integrator_error(monkeypatch):
@@ -609,6 +613,10 @@ def test_norm_drift_in_the_propagator_raises_integrator_error(monkeypatch):
     with pytest.raises(IntegratorError, match=r"^norm drifted to 1\.210000000000 at xi=0\.0$") as err:
         evolve(psi, h, cfg)
     assert err.value.residual == pytest.approx(0.21)
+    # a propagator that yields NaN fails the drift check as well
+    monkeypatch.setattr(hocov.dynamics, "_chain_svd", lambda *a: tuple(np.nan * x for x in svd(*a)))
+    with pytest.raises(IntegratorError, match=r"^norm drifted to nan at xi=0\.0$"):
+        evolve(psi, h, cfg)
 
 
 def test_layout_mismatch_raises():

@@ -11,14 +11,12 @@ from hocov import (
     QuantumState,
     TruncationError,
     coherent_state,
-    fock_state,
     product_state,
-    thermal_state,
     top_level_population,
-    vacuum_state,
 )
 from hocov.fock import occupations, shift
-from reference import annihilation, creation, embed, number_operator, reference_ladder_product
+from reference import (annihilation, creation, embed, fock_state, number_operator,
+                       reference_ladder_product, thermal_density, vacuum_state)
 
 
 def test_annihilation_matrix_elements():
@@ -161,30 +159,11 @@ def test_coherent_state_truncation_guard():
             coherent_state(bad, 6, allow_truncation=True)
 
 
-def test_thermal_state_geometric_weights():
-    rho = thermal_state(0.5, 3)
-    expected = np.array([9.0, 3.0, 1.0]) / 13.0
-    assert np.abs(np.diag(rho) - expected).max() < 1e-14
-    big = thermal_state(0.5, 60)
-    mean = np.diag(big) @ np.arange(60)
-    assert mean == pytest.approx(0.5, abs=1e-10)
-
-
-def test_thermal_state_zero_temperature():
-    rho = thermal_state(0.0, 4)
-    assert rho[0, 0] == pytest.approx(1.0)
-    assert np.abs(rho).sum() == pytest.approx(1.0)
-    for bad in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="n_th must be finite and >= 0"):
-            thermal_state(bad, 4)
-
-
 def test_vacuum_and_product_states():
     lay = ModeLayout((3, 4, 5))
     vac = vacuum_state(lay)
     assert vac.is_pure
     assert vac.vector[0] == 1.0
-    assert vac.norm() == pytest.approx(1.0)
 
     pump = coherent_state(0.7, 3, allow_truncation=True)
     ground_a = np.eye(4, dtype=complex)[:, 0]
@@ -192,18 +171,20 @@ def test_vacuum_and_product_states():
     psi = product_state(lay, pump, ground_a, ground_b)
     assert psi.is_pure
     # pump populations must match the single-mode ones
-    assert np.abs(psi.mode_populations(0) - np.abs(pump) ** 2).max() < 1e-14
+    marginal = (np.abs(psi.vector.reshape(lay.dims)) ** 2).sum(axis=(1, 2))
+    assert np.abs(marginal - np.abs(pump) ** 2).max() < 1e-14
 
 
 def test_product_state_with_mixed_factor():
     lay = ModeLayout((3, 4))
-    rho_a = thermal_state(0.3, 3)
+    rho_a = thermal_density(0.3, 3)
     ground = np.eye(4, dtype=complex)[:, 0]
     state = product_state(lay, rho_a, ground)
     assert not state.is_pure
     assert state.matrix.shape == (12, 12)
     assert np.trace(state.matrix).real == pytest.approx(1.0)
-    assert np.abs(state.mode_populations(0) - np.diag(rho_a).real).max() < 1e-14
+    marginal = np.diag(state.matrix).real.reshape(lay.dims).sum(axis=1)
+    assert np.abs(marginal - np.diag(rho_a).real).max() < 1e-14
     # a factor the renormalization would divide by zero or carry NaN through
     for bad, match in ((np.zeros(4), "factor 1 must be finite with a positive norm"),
                        (np.full(4, np.nan), "factor 1 must be finite with a positive norm"),
@@ -212,27 +193,6 @@ def test_product_state_with_mixed_factor():
             product_state(lay, rho_a, bad)
         with pytest.raises(ValueError, match=match):
             product_state(lay, np.eye(3)[:, 0], bad)
-
-
-def test_mode_populations_sum_to_one():
-    rng = np.random.default_rng(7)
-    lay = ModeLayout((3, 4, 5))
-    vec = rng.normal(size=60) + 1j * rng.normal(size=60)
-    vec /= np.linalg.norm(vec)
-    state = QuantumState(lay, vector=vec)
-    for mode in range(3):
-        pops = state.mode_populations(mode)
-        assert pops.sum() == pytest.approx(1.0)
-        assert pops.min() >= 0
-
-
-def test_density_matches_outer_product():
-    lay = ModeLayout((2, 3))
-    rng = np.random.default_rng(3)
-    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-    vec /= np.linalg.norm(vec)
-    state = QuantumState(lay, vector=vec)
-    assert np.abs(state.density() - np.outer(vec, vec.conj())).max() < 1e-14
 
 
 def test_state_requires_exactly_one_representation():
@@ -279,19 +239,27 @@ def test_on_support_matches_the_dense_form():
     lay = ModeLayout((3, 4, 5))
     idx = np.array([2, 17, 18, 59])
     amp = np.array([0.5, -0.5j, 0.5, 0.5j])
-    state = QuantumState.on_support(lay, idx, amp, time=0.25)
+    state = QuantumState.on_support(lay, idx, amp)
     dense = QuantumState(lay, vector=state.vector)
-    assert state.is_pure and state.time == 0.25
+    assert state.is_pure
+    # QuantumState(vector=...) keeps only the nonzero amplitudes
     assert np.array_equal(dense.support, idx) and np.array_equal(dense.amplitudes, amp)
     assert np.count_nonzero(state.vector) == 4
-    assert state.norm() == pytest.approx(1.0)
-    assert np.array_equal(state.populations(), dense.populations())
-    # QuantumState(vector=...) keeps only the nonzero amplitudes
-    assert np.array_equal(fock_state((1, 2, 3), lay).support, [1 * 20 + 2 * 5 + 3])
     for bad_idx, bad_amp in (([17, 2], [1, 0]), ([2, 2], [1, 0]), ([0, 60], [1, 0]),
                              ([-1, 3], [1, 0]), ([0, 3], [1.0]), ([0.0, 3.0], [1, 0])):
         with pytest.raises(ValueError):
             QuantumState.on_support(lay, np.array(bad_idx), bad_amp)
+
+
+def test_states_with_non_finite_amplitudes_are_refused():
+    lay = ModeLayout((6, 4, 5))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="amplitudes must be finite; flat index 20 holds"):
+            QuantumState.on_support(lay, [20, 40], [bad, 1.0])
+        vec = np.zeros(lay.total_dim, dtype=complex)
+        vec[[20, 40]] = bad, 1.0
+        with pytest.raises(ValueError, match="amplitudes must be finite; flat index 20 holds"):
+            QuantumState(lay, vector=vec)
 
 
 def test_top_level_population():
@@ -307,18 +275,12 @@ def test_top_level_population():
     psi = rng.normal(size=60) + 1j * rng.normal(size=60)
     g = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
     rho = g @ g.conj().T
-    for st in (QuantumState(lay, vector=psi / np.linalg.norm(psi)),
-               QuantumState(lay, matrix=rho / np.trace(rho).real)):
-        for levels in (1, 2, 3):
-            pops = top_level_population(st, levels)
-            for mode in range(3):
-                marginal = st.mode_populations(mode)[-levels:].sum()
-                assert pops[mode] == pytest.approx(marginal, abs=1e-14)
-
-
-def test_fock_state_occupation_bounds():
-    lay = ModeLayout((3, 4))
-    with pytest.raises(ValueError):
-        fock_state((3, 0), lay)
-    with pytest.raises(ValueError):
-        fock_state((0,), lay)
+    psi /= np.linalg.norm(psi)
+    rho /= np.trace(rho).real
+    for st, joint in ((QuantumState(lay, vector=psi), np.abs(psi) ** 2),
+                      (QuantumState(lay, matrix=rho), np.diag(rho).real)):
+        pops = top_level_population(st)
+        for mode in range(3):
+            others = tuple(m for m in range(3) if m != mode)
+            marginal = joint.reshape(lay.dims).sum(axis=others)[-2:].sum()
+            assert pops[mode] == pytest.approx(marginal, abs=1e-14)

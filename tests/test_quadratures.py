@@ -12,14 +12,12 @@ from hocov import (
     UnsupportedOrderError,
     f_operator,
     f_values,
-    fock_state,
     nonlinear_quadratures,
     product_state,
-    thermal_state,
-    vacuum_state,
 )
 from hocov.sweep import CONVERGENCE_STEP, config_from_file
-from reference import expectation, quadratures, symmetrized_covariance
+from reference import (expectation, fock_state, quadratures, symmetrized_covariance,
+                       thermal_density, vacuum_state)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -108,9 +106,8 @@ def test_quadrature_hermiticity():
     lay = ModeLayout((8, 9))
     for m in (1, 2, 3):
         pair = nonlinear_quadratures(lay, 1, m)
-        assert pair.q.hermitian
-        assert pair.p.hermitian
-        for op in (pair.q, pair.p):
+        for op in pair:
+            assert op.hermitian
             dense = op.data.toarray()
             assert np.abs(dense - dense.conj().T).max() < 1e-14
 
@@ -119,8 +116,7 @@ def test_commutator_matches_f_on_safe_block():
     dim = 20
     lay = ModeLayout((dim, 2))
     for m in (1, 2, 3, 4):
-        pair = nonlinear_quadratures(lay, 0, m)
-        q, p = pair.q.data, pair.p.data
+        q, p = (op.data for op in nonlinear_quadratures(lay, 0, m))
         comm = q @ p - p @ q
         f_diag = f_operator(lay, 0, m).data
         resid = (comm - 1j * f_diag).toarray()
@@ -133,12 +129,12 @@ def test_quadrature_action_on_vacuum():
     lay = ModeLayout((12, 2))
     vac = vacuum_state(lay)
     for m in (1, 2, 3, 5):
-        pair = nonlinear_quadratures(lay, 0, m)
-        vec = pair.q.data @ vac.vector
+        q = nonlinear_quadratures(lay, 0, m)[0].data
+        vec = q @ vac.vector
         target = fock_state((m, 0), lay).vector * (np.sqrt(math.factorial(m)) / 2)
         assert np.abs(vec - target).max() < 1e-12
         # vacuum variance of Q^m is f_m(0)/2 = m!/4
-        var = symmetrized_covariance(pair.q.data, pair.q.data, vac)
+        var = symmetrized_covariance(q, q, vac)
         assert var == pytest.approx(math.factorial(m) / 4, rel=1e-12)
 
 
@@ -187,14 +183,14 @@ def test_symmetrized_covariance_against_dense_formula():
 
 def test_symmetrized_covariance_on_mixed_state():
     lay = ModeLayout((40, 2))
-    rho_a = thermal_state(0.4, 40)
+    rho_a = thermal_density(0.4, 40)
     ground = np.eye(2, dtype=complex)[:, 0]
     state = product_state(lay, rho_a, ground)
-    pair = nonlinear_quadratures(lay, 0, 1)
+    q, p = (op.data for op in nonlinear_quadratures(lay, 0, 1))
     # single-mode thermal state: Var(Q) = (2 n_th + 1)/4 in our scaling
-    var = symmetrized_covariance(pair.q.data, pair.q.data, state)
+    var = symmetrized_covariance(q, q, state)
     assert var == pytest.approx((2 * 0.4 + 1) / 4, abs=1e-12)
-    assert symmetrized_covariance(pair.q.data, pair.p.data, state) == pytest.approx(0.0, abs=1e-12)
+    assert symmetrized_covariance(q, p, state) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nonlinear_quadratures_order_guards():

@@ -46,7 +46,6 @@ def write_tiny_cfg(path, **kw):
 def test_sweep_rows_and_zero_point():
     result = run_sweep(tiny_config())
     assert len(result.rows) == 3 * 2
-    assert result.clean
     for row in result.rows:
         assert row.truncation_flag == "ok"
         if row.xi == 0.0:
@@ -182,6 +181,14 @@ def test_load_config_reports_file_and_line(tmp_path):
     path.write_text("with_nz = maybe\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad value for with_nz"):
         load_config(str(path))
+
+    # a repeated key is refused, not won by its last line, also when spelled differently
+    for text, key, first, again in (("k = 1\nl = 2\nk = 3\n", "k", 1, 3),
+                                    ("# pump\nalpha_p = 2\n\nAlpha-P = 2\n", "alpha_p", 2, 4)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"sweep\.cfg:{again}: key '{key}' is already set on "
+                                             rf"line {first}$"):
+            load_config(str(path))
 
 
 def test_load_config_parses_types(tmp_path):
